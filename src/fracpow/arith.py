@@ -29,8 +29,6 @@ from functools import lru_cache
 
 from .errors import CapacityError, DomainError
 
-Rational = Fraction
-
 DEFAULT_SIEVE_LIMIT = 10**6
 
 

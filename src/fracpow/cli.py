@@ -37,7 +37,7 @@ from .cyclotomic import (
 )
 from .errors import DomainError, FracpowError, UsageError
 from .lattice import LatticeSpec, enumerate_below
-from .series import FracSeries, one_minus_x_power, pow_alpha
+from .series import onemx_coefficients
 from .solver import RhsSpec, decide, solve_formal, verify_solution
 
 
@@ -133,8 +133,11 @@ def _cmd_construct(args) -> int:
         ds = build_digit_set(args.k, args.period, args.bound)
     text = format_set_file(ds.as_bounded())
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise UsageError(f"cannot write {args.out}: {ex.strerror or ex}")
     else:
         sys.stdout.write(text)
     return 0
@@ -183,11 +186,9 @@ def _cmd_tau(args) -> int:
     n = args.upto
     if n < 1:
         raise UsageError(f"--upto must be >= 1, got {n}")
-    cutoff = Fraction(n - 1) if n > 1 else Fraction(1)
-    weight = FracSeries.one(cutoff)
-    for k in range(1, n):
-        weight = weight * pow_alpha(one_minus_x_power(cutoff, k), 24)
-    values = [(k, int(weight.coefficient(k - 1))) for k in range(1, n + 1)]
+    # tau(k) is the coefficient of q^{k-1} in prod (1 - q^j)^24
+    coeffs = onemx_coefficients(n - 1, [(j, 24) for j in range(1, n)])
+    values = list(enumerate(coeffs, 1))
     _emit(
         args,
         [[k, v] for k, v in values],
@@ -196,8 +197,16 @@ def _cmd_tau(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors raise UsageError (one JSON object on stderr), not
+    argparse's usage text; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracpow",
         description="Exact fractional power series and representation-function tools",
     )

@@ -229,22 +229,22 @@ def parity_check(a, upto: int) -> list[tuple[int, bool]]:
 SET_FILE_HEADER = "# bound="
 
 
-def write_set_file(path: str, bounded: BoundedSet) -> None:
+def format_set_file(bounded: BoundedSet) -> str:
     """Set-file format: a '# bound=X' header, then one integer per
     line, ascending."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_set_file(bounded))
-
-
-def format_set_file(bounded: BoundedSet) -> str:
     lines = [f"{SET_FILE_HEADER}{bounded.bound}"]
     lines.extend(str(a) for a in bounded.elements)
     return "\n".join(lines) + "\n"
 
 
 def read_set_file(path: str) -> BoundedSet:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise DomainError(f"set file {path} is not ASCII text")
+    except OSError as ex:
+        raise UsageError(f"cannot read set file {path}: {ex.strerror or ex}")
     return parse_set_file(text)
 
 

@@ -45,7 +45,7 @@ from .arith import (
     parse_rational,
 )
 from .errors import DomainError
-from .series import FracSeries, pow_alpha, one_minus_x_power
+from .series import FracSeries, one_minus_x_power, onemx_coefficients, pow_alpha
 
 
 class IntPolynomial:
@@ -210,47 +210,19 @@ class IntPolynomial:
         return f"IntPolynomial({self})"
 
 
-# Integer-list fast paths for the cyclotomic construction: multiplying
-# or exactly dividing by the binomial 1 - x^d is a linear scan.
-
-
-def _mul_one_minus_xd(coeffs: list, d: int) -> list:
-    out = coeffs + [0] * d
-    for i in range(len(coeffs)):
-        out[i + d] -= coeffs[i]
-    return out
-
-
-def _div_one_minus_xd(coeffs: list, d: int) -> list:
-    # q(x) (1 - x^d) = c(x)  =>  q_i = c_i + q_{i-d}
-    n = len(coeffs) - d
-    quo = [0] * n
-    for i in range(n):
-        quo[i] = coeffs[i] + (quo[i - d] if i >= d else 0)
-    for i in range(n, len(coeffs)):
-        check = coeffs[i] + (quo[i - d] if i >= d else 0)
-        if (i < n and quo[i] != check) or (i >= n and check != 0):
-            raise DomainError("binomial division is not exact")
-    return quo
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> IntPolynomial:
-    """Phi_n with Phi_n(0) = 1 and degree euler_phi(n), exactly."""
+    """Phi_n with Phi_n(0) = 1 and degree euler_phi(n), exactly.
+
+    prod_{d | n} (1 - x^d)^{mobius(n/d)} is a polynomial of degree
+    euler_phi(n), so its series truncated at that degree is all of it.
+    """
     if n < 1:
         raise DomainError(f"cyclotomic order must be >= 1, got {n}")
-    coeffs = [1]
-    negative = []
-    for d in divisors(n):
-        mu = mobius(n // d)
-        if mu == 1:
-            coeffs = _mul_one_minus_xd(coeffs, d)
-        elif mu == -1:
-            negative.append(d)
-    for d in negative:
-        coeffs = _div_one_minus_xd(coeffs, d)
-    poly = IntPolynomial(coeffs)
-    assert poly.degree == euler_phi(n)
+    deg = euler_phi(n)
+    factors = [(d, mobius(n // d)) for d in divisors(n)]
+    poly = IntPolynomial(onemx_coefficients(deg, factors))
+    assert poly.degree == deg
     return poly
 
 
@@ -433,8 +405,8 @@ def phi_multiplicity_split(p: IntPolynomial, m: MSpec):
     parts: dict[int, int] = {}
     rest = p
     if deg >= 1:
-        for d in _nprime_upto(2 * deg * deg + 1, m):
-            if euler_phi(d) > deg:
+        for d in range(1, 2 * deg * deg + 2):
+            if not in_nprime(d, m) or euler_phi(d) > deg:
                 continue
             phi_d = cyclotomic_poly(d)
             count = 0
@@ -447,11 +419,6 @@ def phi_multiplicity_split(p: IntPolynomial, m: MSpec):
             if count:
                 parts[d] = count
     return parts, rest
-
-
-def _nprime_upto(limit: int, m: MSpec) -> list[int]:
-    out = [n for n in range(1, limit + 1) if in_nprime(n, m)]
-    return out
 
 
 def nprime_cyclotomic_part(

@@ -20,6 +20,10 @@ Supported operations:
     f.log_derivative()    x f'/f, turning products into sums
     exp_series, log1p_series, pow_alpha
                           the three classical compositions, truncated
+    onemx_product, onemx_coefficients
+                          P(x) prod (1 - x^d)^v for integer d, v: the
+                          one expander of integer-exponent products,
+                          exact binomial weights on an integer list
     product_truncated     finite product of factors 1 + h, ord h > 0
     recover_product_exponents
                           unique exponents a_n with
@@ -32,6 +36,7 @@ rescales it.
 """
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -340,13 +345,6 @@ class FracSeries:
             new_cutoff, {e: c for e, c in self._terms.items() if e <= new_cutoff}
         )
 
-    def keep_below(self, watermark) -> "FracSeries":
-        """Drop terms with exponent >= watermark, keeping the cutoff."""
-        watermark = Fraction(watermark)
-        return FracSeries(
-            self.cutoff, {e: c for e, c in self._terms.items() if e < watermark}
-        )
-
     def substitute_power(self, rho) -> "FracSeries":
         """Change of variable x -> x^rho; cutoff becomes rho * cutoff."""
         rho = Fraction(rho)
@@ -416,6 +414,48 @@ def geometric_inverse(cutoff, d) -> FracSeries:
         terms[e] = Fraction(1)
         e += d
     return FracSeries(cutoff, terms)
+
+
+def onemx_product(cutoff, factors, poly=(1,)) -> FracSeries:
+    """poly(x) * prod (1 - x^d)^v over the (d, v) pairs of `factors`,
+    for integer coefficients, orders d >= 1 and exponents v, as a
+    series truncated at the cutoff (see onemx_coefficients)."""
+    cutoff = Fraction(cutoff)
+    coeffs = onemx_coefficients(math.floor(cutoff), factors, poly)
+    return FracSeries(cutoff, dict(enumerate(coeffs)))
+
+
+def onemx_coefficients(n: int, factors, poly=(1,)) -> list[int]:
+    """The coefficients of x^0 .. x^n of poly(x) * prod (1 - x^d)^v.
+
+    Each factor adds one shifted pass over the list per exact weight
+    w_j of x^{jd} in (1 - x^d)^v, jd <= n: (-1)^j C(v, j) for v > 0,
+    C(|v|+j-1, j) for v < 0.  That is at most n/d passes whatever |v|
+    is; for |v| <= n/d, v < 0 is |v| prefix sums mod d instead.
+    """
+    coeffs = [0] * (n + 1)
+    for i, c in enumerate(poly[: n + 1]):
+        c = Fraction(c)
+        if c.denominator != 1:
+            raise DomainError(f"polynomial coefficient {c} is not an integer")
+        coeffs[i] = c.numerator
+    for d, v in factors:
+        if d < 1:
+            raise DomainError(f"factor order must be positive, got {d}")
+        if v < 0 and -v <= n // d:
+            for _ in range(-v):
+                for r in range(d):
+                    coeffs[r::d] = itertools.accumulate(coeffs[r::d])
+            continue
+        source = coeffs[:]
+        w = 1
+        for j in range(1, n // d + 1):
+            w = w * (j - 1 - v) // j
+            if not w:
+                break
+            shift = j * d
+            coeffs[shift:] = [c + w * x for c, x in zip(coeffs[shift:], source)]
+    return coeffs
 
 
 def _divide(num: FracSeries, den: FracSeries) -> FracSeries:

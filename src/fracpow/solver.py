@@ -52,13 +52,7 @@ from .arith import (
 )
 from .cyclotomic import CycloProduct, IntPolynomial, nprime_cyclotomic_part
 from .errors import DomainError, HypothesisError, UsageError
-from .series import (
-    FracSeries,
-    exp_series,
-    log1p_series,
-    one_minus_x_power,
-    pow_alpha,
-)
+from .series import FracSeries, exp_series, log1p_series, onemx_product
 
 EVIDENCE_CUTOFF = Fraction(4)
 EVIDENCE_LIMIT = 64
@@ -98,17 +92,9 @@ class RhsSpec:
 
     def expand(self, cutoff) -> FracSeries:
         """G as a truncated series, complete up to the cutoff."""
-        cutoff = Fraction(cutoff)
         if self.poly is not None:
-            geo = FracSeries(
-                cutoff, {Fraction(k): 1 for k in range(int(cutoff) + 1)}
-            )
-            return self.poly.to_series(cutoff) * geo
-        out = FracSeries.one(cutoff)
-        for d, v in self.factors:
-            if d <= cutoff:
-                out = out * pow_alpha(one_minus_x_power(cutoff, d), v)
-        return out
+            return onemx_product(cutoff, ((1, -1),), self.poly.coeffs)
+        return onemx_product(cutoff, self.factors)
 
     def describe(self) -> dict:
         if self.poly is not None:

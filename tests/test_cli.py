@@ -4,7 +4,10 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from fracpow.cli import main
+from helpers import tau_oracle
 
 
 def run_cli(argv):
@@ -139,6 +142,44 @@ def test_construct_and_count(tmp_path):
     assert code == 2 and "safe bound" in json.loads(err)["error"]["message"]
 
 
+def test_set_file_errors(tmp_path):
+    count = ["count", "--m", "1:1,2:1", "--upto", "3", "--set"]
+    code, out, err = run_cli(count + [str(tmp_path / "missing.txt")])
+    assert (code, out) == (2, "") and json.loads(err)["error"]["kind"] == "usage"
+    code, _, err = run_cli(count + [str(tmp_path)])
+    assert code == 2 and json.loads(err)["error"]["kind"] == "usage"
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes("# bound=3\n0\n\u00e9\n".encode("utf-8"))
+    code, out, err = run_cli(count + [str(latin)])
+    assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "domain"
+    code, out, err = run_cli(
+        ["construct", "--kind", "ruzsa", "--bound", "5", "--out", str(tmp_path / "no" / "x")]
+    )
+    assert (code, out) == (2, "") and json.loads(err)["error"]["kind"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--m", "2:1,3:1", "--cutoff", "2", "--bogus"],
+        ["solve", "--cutoff", "2"],
+        ["tau", "--upto", "abc"],
+        ["cyclo", "nope"],
+        [],
+    ],
+)
+def test_argparse_errors_are_json(argv):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["kind"] == "usage"
+
+
+def test_help_exits_zero():
+    with pytest.raises(SystemExit) as info:
+        run_cli(["tau", "--help"])
+    assert info.value.code == 0
+
+
 def test_construct_kinds():
     code, out, _ = run_cli(
         ["construct", "--kind", "digit", "--k", "2", "--period", "2", "--bound", "20"]
@@ -167,6 +208,8 @@ def test_tau():
     assert lines[9] == "10\t-115920"
     code, out, _ = run_cli(["tau", "--upto", "3", "--format", "json"])
     assert json.loads(out) == [[1, 1], [2, -24], [3, 252]]
+    code, out, _ = run_cli(["tau", "--upto", "60", "--format", "json"])
+    assert json.loads(out) == [[k, v] for k, v in enumerate(tau_oracle(60), 1)]
 
 
 def test_console_entry_point():

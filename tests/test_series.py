@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracpow import (
     DomainError,
@@ -16,10 +18,12 @@ from fracpow import (
     product_truncated,
     recover_product_exponents,
 )
+from fracpow.cyclotomic import CycloProduct, IntPolynomial
 from fracpow.series import (
     Valuation,
     geometric_inverse,
     one_minus_x_power,
+    onemx_product,
     valuation_max,
 )
 from helpers import dyadic_exponents, rand_series, rand_unit_series, tau_oracle
@@ -293,6 +297,51 @@ def test_product_truncated_tau():
     values = [prod.coefficient(k - 1) for k in range(1, 6)]
     assert values == tau_oracle(5)
     assert values == [1, -24, 252, -1472, 4830]
+
+
+ONEMX_CUTOFFS = st.sampled_from([F(1, 2), F(1), F(7, 2), F(6), F(10)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(-30, 30)), max_size=5),
+    ONEMX_CUTOFFS,
+)
+def test_onemx_product_matches_pow_alpha(factors, cutoff):
+    # repeated orders, orders above the cutoff and v = 0 all included
+    merged = {}
+    for d, v in factors:
+        merged[d] = merged.get(d, 0) + v
+    oracle = CycloProduct.make("onemx", merged).expand_series(cutoff)
+    assert onemx_product(cutoff, factors) == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=8), ONEMX_CUTOFFS)
+def test_onemx_product_poly_over_1mx(coeffs, cutoff):
+    poly = IntPolynomial(coeffs)
+    expected = poly.to_series(cutoff) * geometric_inverse(cutoff, 1)
+    assert onemx_product(cutoff, ((1, -1),), poly.coeffs) == expected
+    assert onemx_product(cutoff, [(1, -1)], coeffs) == expected
+
+
+def test_onemx_product_edges():
+    assert onemx_product(F(7, 2), []) == FracSeries.one(F(7, 2))
+    assert onemx_product(T, [], (2, 0, -1)) == FracSeries(T, {0: 2, 2: -1})
+    assert onemx_product(T, [(7, 5), (9, -3)]) == FracSeries.one(T)
+    # huge |v|: exact binomials, as cheap as any other exponent
+    big = onemx_product(5, [(1, 100000)])
+    assert [big.coefficient(j) for j in range(6)] == [
+        (-1) ** j * math.comb(100000, j) for j in range(6)
+    ]
+    inverse = onemx_product(F(11, 2), [(2, -100000)])
+    assert inverse == FracSeries(
+        F(11, 2), {2 * j: math.comb(100000 + j - 1, j) for j in range(3)}
+    )
+    with pytest.raises(DomainError):
+        onemx_product(T, [(0, 1)])
+    with pytest.raises(DomainError):
+        onemx_product(T, [], (1, F(1, 2)))
 
 
 def test_recover_product_exponents():
