@@ -48,13 +48,20 @@ def _parse_mspec(text: str) -> MSpec:
         raise UsageError(f"bad --m value: {ex}")
 
 
-def _parse_cutoff(text: str) -> Fraction:
+def _parse_poly(text: str, flag: str) -> IntPolynomial:
+    try:
+        return IntPolynomial.parse(text)
+    except DomainError as ex:
+        raise UsageError(f"bad {flag} value: {ex}")
+
+
+def _parse_positive(text: str, flag: str) -> Fraction:
     try:
         value = parse_rational(text)
     except DomainError as ex:
-        raise UsageError(f"bad --cutoff value: {ex}")
+        raise UsageError(f"bad {flag} value: {ex}")
     if value <= 0:
-        raise UsageError(f"--cutoff must be positive, got {text}")
+        raise UsageError(f"{flag} must be positive, got {text}")
     return value
 
 
@@ -75,7 +82,7 @@ def _rhs_from_flags(args) -> RhsSpec:
             raise UsageError("--rhs-poly and --rhs-factors are mutually exclusive")
         return RhsSpec.onemx_product(_parse_factor_list(args.rhs_factors))
     if args.rhs_poly is not None:
-        return RhsSpec.poly_over_1mx(IntPolynomial.parse(args.rhs_poly))
+        return RhsSpec.poly_over_1mx(_parse_poly(args.rhs_poly, "--rhs-poly"))
     return RhsSpec.poly_over_1mx(IntPolynomial.one())
 
 
@@ -89,7 +96,7 @@ def _emit(args, payload_json, payload_text) -> None:
 def _cmd_solve(args) -> int:
     m = _parse_mspec(args.m)
     rhs = _rhs_from_flags(args)
-    cutoff = _parse_cutoff(args.cutoff)
+    cutoff = _parse_positive(args.cutoff, "--cutoff")
     f = solve_formal(m, rhs, cutoff)
     if not verify_solution(f, m, rhs):
         raise AssertionError("solution failed residual verification")
@@ -99,7 +106,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_decide(args) -> int:
     m = _parse_mspec(args.m)
-    poly = IntPolynomial.parse(args.rhs_poly) if args.rhs_poly is not None else None
+    poly = _parse_poly(args.rhs_poly, "--rhs-poly") if args.rhs_poly is not None else None
     report = decide(m, poly)
     text = f"verdict: {report.verdict}"
     _emit(args, report.to_json_dict(), text)
@@ -153,7 +160,7 @@ def _cmd_cyclo(args) -> int:
         _emit(args, product.to_json_dict(), _cyclo_text(product))
         return 0
     m = _parse_mspec(args.m)
-    poly = IntPolynomial.parse(args.poly)
+    poly = _parse_poly(args.poly, "--poly")
     product = nprime_cyclotomic_part(poly, m, not args.no_1mx_inverse)
     _emit(args, product.to_json_dict(), _cyclo_text(product))
     return 0
@@ -172,7 +179,7 @@ def _cmd_enumerate(args) -> int:
     except DomainError as ex:
         raise UsageError(f"bad --thetas value: {ex}")
     spec = LatticeSpec(args.b, thetas)
-    below = _parse_cutoff(args.below)
+    below = _parse_positive(args.below, "--below")
     values = enumerate_below(spec, below)
     _emit(
         args,

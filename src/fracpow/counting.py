@@ -177,7 +177,6 @@ def generating_check(m: MSpec, a, cutoff: int) -> bool:
             f"cutoff {cutoff} exceeds the safe bound {m.b * bounded.bound}"
         )
     T = Fraction(cutoff)
-    gen = FracSeries(T, {Fraction(x): 1 for x in bounded.elements if x <= cutoff})
     product = FracSeries.one(T)
     for b_i, e_i in m.pairs:
         factor = (

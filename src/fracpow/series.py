@@ -29,6 +29,21 @@ Supported operations:
                           unique exponents a_n with
                           f = prod (1 - x^n)^{a_n} below the cutoff
 
+Division, exp, log1p and pow_alpha each solve a triangular recurrence
+over ascending exponents, and all four run on one engine,
+_recurrence(h, source, w, scale), with ord h > 0:
+
+    g_l = (source_l + sum_{mu in supp h, mu <= l} h_mu w(l, mu) g_{l-mu}) / scale(l)
+
+    caller              h         source        w(l, mu)         scale(l)
+    num / den           den - c0  num           -1               c0
+    exp_series(f)       f         1             mu               l (1 at 0)
+    log1p_series(f)     f         l f_l         mu - l           l
+    pow_alpha(1+h, a)   h         1             a mu - l + mu    l (1 at 0)
+
+invert, log_derivative, negative powers and recover_product_exponents
+reach it through division.
+
 Everything is exact: exponents and coefficients are Fractions, no
 floating point anywhere.  All series entering a binary operation must
 share one cutoff; substitute_power is the only operation that
@@ -458,62 +473,71 @@ def onemx_coefficients(n: int, factors, poly=(1,)) -> list[int]:
     return coeffs
 
 
-def _divide(num: FracSeries, den: FracSeries) -> FracSeries:
-    """Sparse long division num/den; den(0) must be nonzero.
+def _recurrence(h: FracSeries, source: FracSeries, weight, scale) -> FracSeries:
+    """The one engine behind division, exp, log1p and pow_alpha:
 
-    Processes remainder exponents in ascending order: the update at
-    exponent e only ever feeds strictly larger exponents, so each
-    quotient coefficient is final when popped.
+        g_l = (source_l + sum_{mu in supp h, mu <= l} h_mu w(l, mu) g_{l-mu}) / scale(l)
+
+    for ord h > 0.  Exponents are popped in ascending order from one
+    heap seeded with supp(source).  Each nonzero g_l adds its terms
+    h_mu w(l + mu, mu) g_l to the pending sums at l + supp(h), so a
+    sum is complete when popped.  The work is |supp g| * |supp h|
+    pairs: a pending sum that cancels to zero costs nothing further.
     """
+    T = h.cutoff
+    supp = h.items()
+    pending = dict(source._terms)
+    heap = list(pending)
+    heapq.heapify(heap)
+    g: dict[Fraction, Fraction] = {}
+    while heap:
+        lam = heapq.heappop(heap)
+        total = pending.pop(lam)
+        if not total:
+            continue
+        val = total / scale(lam)
+        g[lam] = val
+        for mu, c in supp:
+            ne = lam + mu
+            if ne > T:
+                break
+            term = c * weight(ne, mu) * val
+            prev = pending.get(ne)
+            if prev is None:
+                pending[ne] = term
+                heapq.heappush(heap, ne)
+            else:
+                pending[ne] = prev + term
+    return FracSeries(T, g)
+
+
+def _divide(num: FracSeries, den: FracSeries) -> FracSeries:
+    """num/den; den(0) must be nonzero.  With den = c0 + h, the
+    recurrence is g_l = (num_l - sum h_mu g_{l-mu}) / c0."""
     if den.cutoff != num.cutoff:
         raise UsageError(f"cutoff mismatch: {num.cutoff} vs {den.cutoff}")
     c0 = den.constant_term
     if c0 == 0:
         raise NotInvertibleError("constant term is zero; not invertible")
-    T = num.cutoff
-    den_rest = [(e, c) for e, c in den.items() if e != 0]
-    rem = dict(num._terms)
-    heap = list(rem)
-    heapq.heapify(heap)
-    quo: dict[Fraction, Fraction] = {}
-    while heap:
-        e = heapq.heappop(heap)
-        c = rem.pop(e, None)
-        if c is None:
-            continue
-        q = c / c0
-        quo[e] = q
-        for ed, cd in den_rest:
-            ne = e + ed
-            if ne > T:
-                break
-            delta = q * cd
-            prev = rem.get(ne)
-            if prev is None:
-                rem[ne] = -delta
-                heapq.heappush(heap, ne)
-            else:
-                nv = prev - delta
-                if nv:
-                    rem[ne] = nv
-                else:
-                    del rem[ne]
-    return FracSeries(T, quo)
+    return _recurrence(den - c0, num, lambda lam, mu: -1, lambda lam: c0)
 
 
 def exp_series(f: FracSeries) -> FracSeries:
-    """exp(f) for ord f > 0, via the recurrence lambda*g_l = sum mu c_mu g_{l-mu}."""
+    """exp(f) for ord f > 0: x g' = g x f' gives
+    lambda g_l = sum mu f_mu g_{l-mu}, g_0 = 1."""
     if f.constant_term != 0:
         raise DomainError("exp_series needs a series of positive order")
-    return _ode_closure(f, lambda lam, mu: mu, Fraction(1))
+    return _recurrence(
+        f, FracSeries.one(f.cutoff), lambda lam, mu: mu, lambda lam: lam or 1
+    )
 
 
 def log1p_series(f: FracSeries) -> FracSeries:
-    """log(1 + f) for ord f > 0: one division then termwise integration."""
+    """log(1 + f) for ord f > 0: x L' (1 + f) = x f' gives
+    lambda L_l = lambda f_l + sum f_mu (mu - lambda) L_{l-mu}."""
     if f.constant_term != 0:
         raise DomainError("log1p_series needs a series of positive order")
-    ratio = _divide(f.xderive(), FracSeries.one(f.cutoff) + f)
-    return FracSeries(f.cutoff, {e: c / e for e, c in ratio._terms.items()})
+    return _recurrence(f, f.xderive(), lambda lam, mu: mu - lam, lambda lam: lam)
 
 
 def pow_alpha(f: FracSeries, alpha) -> FracSeries:
@@ -525,45 +549,14 @@ def pow_alpha(f: FracSeries, alpha) -> FracSeries:
     if f.constant_term != 1:
         raise DomainError("pow_alpha needs constant term exactly 1")
     alpha = Fraction(alpha)
-    h = f - 1
     # x g' * (1+h) = alpha g * x h'  gives
     # lambda g_l = sum_mu h_mu (alpha mu - lambda + mu) g_{l-mu}
-    return _ode_closure(h, lambda lam, mu: alpha * mu - lam + mu, Fraction(1))
-
-
-def _ode_closure(h: FracSeries, weight, g0: Fraction) -> FracSeries:
-    """Shared engine for exp/pow: g_l = (1/l) sum h_mu w(mu, l) g_{l-mu}.
-
-    Exponents are generated as sums of supp(h) starting from 0, so the
-    work is proportional to the support of the result times |supp h|.
-    """
-    T = h.cutoff
-    supp = h.items()
-    g: dict[Fraction, Fraction] = {Fraction(0): g0}
-    seen = set()
-    heap = []
-    for mu, _ in supp:
-        if mu <= T and mu not in seen:
-            seen.add(mu)
-            heapq.heappush(heap, mu)
-    while heap:
-        lam = heapq.heappop(heap)
-        total = Fraction(0)
-        for mu, c in supp:
-            if mu > lam:
-                break
-            prev = g.get(lam - mu)
-            if prev is not None:
-                total += c * weight(lam, mu) * prev
-        if total:
-            val = total / lam
-            g[lam] = val
-            for mu, _ in supp:
-                ne = lam + mu
-                if ne <= T and ne not in seen:
-                    seen.add(ne)
-                    heapq.heappush(heap, ne)
-    return FracSeries(T, g)
+    return _recurrence(
+        f - 1,
+        FracSeries.one(f.cutoff),
+        lambda lam, mu: alpha * mu - lam + mu,
+        lambda lam: lam or 1,
+    )
 
 
 def product_truncated(factors, cutoff=None) -> FracSeries:

@@ -96,11 +96,6 @@ class RhsSpec:
             return onemx_product(cutoff, ((1, -1),), self.poly.coeffs)
         return onemx_product(cutoff, self.factors)
 
-    def describe(self) -> dict:
-        if self.poly is not None:
-            return {"kind": "poly_over_1mx", "poly": self.poly.to_json_list()}
-        return {"kind": "onemx_product", "factors": [list(f) for f in self.factors]}
-
 
 def _log_substituted_rhs(m: MSpec, rhs: RhsSpec, cutoff: Fraction) -> FracSeries:
     # log Gamma = (1/e) log G(x^{1/b}), complete up to the cutoff

@@ -120,6 +120,31 @@ def test_error_exit_codes():
     # domain error (rhs polynomial vanishing at 1): exit 1
     code, out, err = run_cli(["decide", "--m", "2:1,3:1", "--rhs-poly", "1,-1"])
     assert code == 1 and json.loads(err)["error"]["kind"] == "domain"
+    # well-formed but invalid polynomials stay domain errors
+    for argv in (
+        ["solve", "--m", "2:1,3:1", "--rhs-poly", "1,1/2", "--cutoff", "2"],
+        ["cyclo", "part", "--poly", "1,1/2", "--m", "2:1,3:1"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["decide", "--m", "2:1,3:1", "--rhs-poly", "1,x"], "--rhs-poly"),
+        (["solve", "--m", "2:1,3:1", "--rhs-poly", "1,,2", "--cutoff", "2"], "--rhs-poly"),
+        (["cyclo", "part", "--poly", "1,y", "--m", "2:1,3:1"], "--poly"),
+        (["solve", "--m", "2:1,3:1", "--cutoff", "0"], "--cutoff"),
+        (["enumerate", "--b", "2", "--thetas", "3/2", "--below", "-1"], "--below"),
+        (["enumerate", "--b", "2", "--below", "z"], "--below"),
+    ],
+)
+def test_malformed_flag_values_name_their_flag(argv, flag):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage" and flag in error["message"]
 
 
 def test_construct_and_count(tmp_path):

@@ -325,6 +325,51 @@ def test_onemx_product_poly_over_1mx(coeffs, cutoff):
     assert onemx_product(cutoff, [(1, -1)], coeffs) == expected
 
 
+# sparse series on the mixed 1/2 and 1/3 grid, cutoff <= 3: the four
+# parametrisations of the one recurrence engine against oracles built
+# from * alone
+ENGINE_CUTOFFS = st.sampled_from([F(1), F(2), F(5, 2), F(3)])
+ENGINE_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def engine_series(draw, cutoff, positive_order=True):
+    grid = [F(k, d) for d in (2, 3) for k in range(int(positive_order), 3 * d + 1)]
+    exps = draw(st.lists(st.sampled_from([e for e in grid if e <= cutoff]), max_size=4))
+    return FracSeries(cutoff, {e: draw(ENGINE_COEFFS) for e in exps})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), ENGINE_CUTOFFS)
+def test_engine_division(data, cutoff):
+    num = data.draw(engine_series(cutoff, positive_order=False))
+    c0 = data.draw(ENGINE_COEFFS.filter(lambda c: c not in (0, 1)))
+    den = data.draw(engine_series(cutoff)) + c0
+    assert (num / den) * den == num
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), ENGINE_CUTOFFS)
+def test_engine_log1p_exp_against_power_sums(data, cutoff):
+    h = data.draw(engine_series(cutoff))
+    mercator = FracSeries.zero(cutoff)
+    taylor = FracSeries.one(cutoff)
+    power = FracSeries.one(cutoff)
+    for k in range(1, 10):  # ord h >= 1/3 and cutoff <= 3, so h^10 = 0
+        power = power * h
+        mercator = mercator + power * F((-1) ** (k + 1), k)
+        taylor = taylor + power * F(1, math.factorial(k))
+    assert log1p_series(h) == mercator
+    assert exp_series(h) == taylor
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), ENGINE_CUTOFFS, st.integers(-3, 3))
+def test_engine_pow_alpha_integer(data, cutoff, n):
+    f = data.draw(engine_series(cutoff)) + 1
+    assert pow_alpha(f, n) == f**n
+
+
 def test_onemx_product_edges():
     assert onemx_product(F(7, 2), []) == FracSeries.one(F(7, 2))
     assert onemx_product(T, [], (2, 0, -1)) == FracSeries(T, {0: 2, 2: -1})
