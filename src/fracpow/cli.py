@@ -70,9 +70,12 @@ def _parse_factor_list(text: str) -> dict[int, int]:
     for chunk in text.split(","):
         try:
             d_str, m_str = chunk.strip().split(":")
-            out[int(d_str)] = int(m_str)
+            d, v = int(d_str), int(m_str)
         except ValueError:
-            raise UsageError(f"bad factor chunk {chunk!r}; expected 'd:m'")
+            raise UsageError(f"bad --rhs-factors chunk {chunk!r}; expected 'd:m'")
+        if d in out:
+            raise UsageError(f"bad --rhs-factors value: order {d} is repeated")
+        out[d] = v
     return out
 
 
@@ -138,7 +141,7 @@ def _cmd_construct(args) -> int:
         if args.k is None or args.period is None:
             raise UsageError("--kind digit needs --k and --period")
         ds = build_digit_set(args.k, args.period, args.bound)
-    text = format_set_file(ds.as_bounded())
+    text = format_set_file(ds)
     if args.out:
         try:
             with open(args.out, "w", encoding="ascii") as fh:

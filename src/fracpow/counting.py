@@ -49,21 +49,9 @@ class BoundedSet:
         object.__setattr__(self, "elements", elems)
 
 
-@dataclass(frozen=True)
-class DigitSet:
+def build_digit_set(k: int, period: int, bound: int) -> BoundedSet:
     """All sums of eps_i * k^(period*i) with digits eps_i in 0..k-1,
     enumerated up to the bound."""
-
-    base: int
-    period: int
-    bound: int
-    elements: tuple[int, ...]
-
-    def as_bounded(self) -> BoundedSet:
-        return BoundedSet(self.elements, self.bound)
-
-
-def build_digit_set(k: int, period: int, bound: int) -> DigitSet:
     if k < 2:
         raise DomainError(f"digit-set base must be >= 2, got {k}")
     if period < 1:
@@ -83,15 +71,7 @@ def build_digit_set(k: int, period: int, bound: int) -> DigitSet:
                     break
         sums.extend(layer)
         position *= k**period
-    return DigitSet(base=k, period=period, bound=bound, elements=tuple(sorted(sums)))
-
-
-def _as_bounded(a) -> BoundedSet:
-    if isinstance(a, DigitSet):
-        return a.as_bounded()
-    if isinstance(a, BoundedSet):
-        return a
-    raise DomainError(f"expected a DigitSet or BoundedSet, got {type(a).__name__}")
+    return BoundedSet(tuple(sums), bound)
 
 
 def representation_counts(m: MSpec, elements, upto: int) -> list[int]:
@@ -151,9 +131,8 @@ def _constant_from(values) -> int | None:
     return start
 
 
-def constancy_scan(m: MSpec, a, upto: int) -> CountReport:
+def constancy_scan(m: MSpec, bounded: BoundedSet, upto: int) -> CountReport:
     """Counts up to `upto`, which must not exceed the safe bound."""
-    bounded = _as_bounded(a)
     safe = m.b * bounded.bound
     if upto > safe:
         raise UsageError(
@@ -168,10 +147,9 @@ def constancy_scan(m: MSpec, a, upto: int) -> CountReport:
     )
 
 
-def generating_check(m: MSpec, a, cutoff: int) -> bool:
+def generating_check(m: MSpec, bounded: BoundedSet, cutoff: int) -> bool:
     """Cross-check the convolution counts against the series product
     prod f_A(x^{b_i})^{e_i} computed in exact series arithmetic."""
-    bounded = _as_bounded(a)
     if cutoff > m.b * bounded.bound:
         raise UsageError(
             f"cutoff {cutoff} exceeds the safe bound {m.b * bounded.bound}"
@@ -190,27 +168,9 @@ def generating_check(m: MSpec, a, cutoff: int) -> bool:
     return all(product.coefficient(n) == counts[n] for n in range(cutoff + 1))
 
 
-def unordered_pair_counts(a, upto: int) -> list[int]:
-    """Counts of unordered pairs {a, a'} with a + a' = n; the unordered
-    companion of the two-slot form, used by the parity demonstration."""
-    bounded = _as_bounded(a)
-    if upto > bounded.bound:
-        raise UsageError(
-            f"requested bound {upto} exceeds the enumeration bound {bounded.bound}"
-        )
-    ordered = representation_counts(MSpec(((1, 2),)), bounded.elements, upto)
-    members = set(bounded.elements)
-    out = []
-    for n in range(upto + 1):
-        diagonal = 1 if n % 2 == 0 and n // 2 in members else 0
-        out.append((ordered[n] + diagonal) // 2)
-    return out
-
-
-def parity_check(a, upto: int) -> list[tuple[int, bool]]:
+def parity_check(bounded: BoundedSet, upto: int) -> list[tuple[int, bool]]:
     """For the two-slot form a + a': r(n) is odd exactly when n = 2a
     with a in the set.  Returns (n, consistent) for n = 0..upto."""
-    bounded = _as_bounded(a)
     if upto > bounded.bound:
         raise UsageError(
             f"requested bound {upto} exceeds the enumeration bound {bounded.bound}"

@@ -23,9 +23,9 @@ be eventually constant" combines:
     other coefficients;
   * the smooth-order cyclotomic part H of the right-hand side and its
     exponent vector m_d over the basis (1 - x^d);
-  * product_exponent: the alternating finite sum giving the exponent
-    g_d of (1 - x^d) in any power-series solution, with the
-    recurrence g_d + sum nu_i g_{d/theta_i} = m_{b d}/e_0;
+  * product_exponent: the exponent g_d of (1 - x^d) in any power-series
+    solution, an alternating finite sum taken level by level in integers,
+    with the recurrence g_d + sum nu_i g_{d/theta_i} = m_{b d}/e_0;
   * almost_rational_bound: an explicit D* with g_d = 0 for d >= D*
     under the hypothesis;
   * recurrence_data / contradiction_certificate: the integrality
@@ -175,27 +175,27 @@ def integrality_report(f: FracSeries) -> list[tuple[Fraction, Fraction]]:
 def _alternating_sum(m: MSpec, mexps: dict[int, int], start: Fraction) -> Fraction:
     """sum_k (-1)^k sum_{i_1..i_k} nu_{i_1}...nu_{i_k} m[start / (theta_{i_1}...theta_{i_k})].
 
-    Indices shrink strictly along each tuple (theta_i > 1), so the
-    depth-first walk prunes once the running index falls below the
-    smallest supported order; only finitely many tuples contribute.
+    One integer pass per level k: k steps from start = num/den reach
+    num b_0^k / D, D = den prod b_i^{k_i} whatever their order, so level
+    k maps D to its summed tuple weight over e_0^k, down to min(mexps).
     """
     if not mexps:
         return Fraction(0)
     lowest = min(mexps)
-    thetas, nus = m.thetas, m.nus
-    total = Fraction(0)
-    stack = [(start, Fraction(1))]
-    while stack:
-        idx, weight = stack.pop()
-        if idx.denominator == 1:
-            c = mexps.get(idx.numerator)
-            if c:
-                total += weight * c
-        for theta, nu in zip(thetas, nus):
-            nxt = idx / theta
-            if nxt >= lowest:
-                stack.append((nxt, -weight * nu))
-    return total
+    (b0, e0), steps = m.pairs[0], m.pairs[1:]
+    top, total, scale, level = start.numerator, 0, 1, {start.denominator: 1}
+    while level:
+        nxt: dict[int, int] = {}
+        for D, w in level.items():
+            q, r = divmod(top, D)
+            if not r:
+                total += w * mexps.get(q, 0)
+            for b_i, e_i in steps:
+                if top * b0 < lowest * D * b_i:
+                    break
+                nxt[D * b_i] = nxt.get(D * b_i, 0) - w * e_i
+        level, top, total, scale = nxt, top * b0, total * e0, scale * e0
+    return Fraction(total, scale)
 
 
 def _check_mexps(mexps: dict, m: MSpec) -> dict[int, int]:
@@ -228,10 +228,10 @@ def product_exponent(m: MSpec, mexps: dict, d) -> Fraction:
 
         g_d = sum_k (-1)^k sum nu_{i_1}..nu_{i_k} m[b d / (theta...)] / e_0,
 
-    a finite alternating sum; lookups at non-integer or unsupported
-    indices contribute nothing, so g_d = 0 automatically once b d
-    outruns the support.  The values satisfy the recurrence
-    g_d + sum_i nu_i g_{d/theta_i} = m_{b d} / e_0 identically.
+    a finite alternating sum, taken one level of theta steps at a time;
+    lookups at non-integer or unsupported indices contribute nothing, so
+    g_d = 0 automatically once b d outruns the support.  The values
+    satisfy g_d + sum_i nu_i g_{d/theta_i} = m_{b d} / e_0 identically.
     """
     d = Fraction(d)
     if d <= 0:

@@ -1,7 +1,8 @@
 """Shared test utilities: random generators and independent oracles.
 
 The oracles here deliberately avoid the library's own code paths:
-representation counts by nested recursion over tuple slots, the tau
+representation counts by nested recursion over tuple slots, the
+product-exponent sum by recursion over ordered index tuples, the tau
 coefficients by plain integer-list polynomial expansion, divisor sums
 for the Moebius round trip, and a rational-coefficient polynomial gcd
 for root-freeness checks.
@@ -70,6 +71,27 @@ def brute_force_counts(m: MSpec, elements, upto: int) -> list[int]:
 
     walk(0, 0)
     return counts
+
+
+def brute_force_alternating_sum(m: MSpec, mexps: dict, start) -> Fraction:
+    """sum over ordered index tuples (i_1..i_k) of
+    prod_j (-e_{i_j}/e_0) * mexps[start / prod_j (b_{i_j}/b_0)], one
+    recursive call per tuple.  A tuple whose index falls below the
+    smallest order cannot reach the support, nor can its extensions."""
+    if not mexps:
+        return Fraction(0)
+    lowest = min(mexps)
+    (b0, e0), rest = m.pairs[0], m.pairs[1:]
+
+    def walk(index: Fraction, weight: Fraction) -> Fraction:
+        total = weight * mexps.get(index, 0)
+        for b_i, e_i in rest:
+            nxt = index * b0 / b_i
+            if nxt >= lowest:
+                total += walk(nxt, -weight * Fraction(e_i, e0))
+        return total
+
+    return walk(Fraction(start), Fraction(1))
 
 
 def tau_oracle(upto: int) -> list[int]:

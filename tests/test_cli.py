@@ -138,6 +138,11 @@ def test_error_exit_codes():
         (["solve", "--m", "2:1,3:1", "--cutoff", "0"], "--cutoff"),
         (["enumerate", "--b", "2", "--thetas", "3/2", "--below", "-1"], "--below"),
         (["enumerate", "--b", "2", "--below", "z"], "--below"),
+        (
+            ["solve", "--m", "2:1,3:1", "--cutoff", "2", "--rhs-factors", "1:-1,1:2"],
+            "--rhs-factors",
+        ),
+        (["solve", "--m", "2:1,3:1", "--cutoff", "2", "--rhs-factors", "2"], "--rhs-factors"),
     ],
 )
 def test_malformed_flag_values_name_their_flag(argv, flag):

@@ -129,31 +129,6 @@ def test_truncation_detected_beyond_safe_bound():
     assert any(truncated[n] != reference[n] for n in range(41, 101))
 
 
-def test_unordered_pair_counts():
-    from fracpow.counting import unordered_pair_counts
-
-    rng = random.Random(127)
-    for _ in range(10):
-        elements = tuple(sorted(rng.sample(range(60), rng.randint(2, 12))))
-        bounded = BoundedSet(elements, 60)
-        got = unordered_pair_counts(bounded, 60)
-        member = set(elements)
-        expected = [
-            sum(
-                1
-                for i, x in enumerate(elements)
-                for y in elements[i:]
-                if x + y == n
-            )
-            for n in range(61)
-        ]
-        assert got == expected
-        ordered = representation_counts(PAIR, elements, 60)
-        for n in range(61):
-            diag = 1 if n % 2 == 0 and n // 2 in member else 0
-            assert 2 * got[n] - diag == ordered[n]
-
-
 def test_parity_check():
     tiny = BoundedSet((0, 1), 1)
     assert parity_check(tiny, 1) == [(0, True), (1, True)]
@@ -180,7 +155,7 @@ def test_safe_bound_soundness():
 
 
 def test_set_file_round_trip():
-    ds = build_digit_set(2, 2, 20).as_bounded()
+    ds = build_digit_set(2, 2, 20)
     text = format_set_file(ds)
     assert text.startswith("# bound=20\n0\n1\n4\n")
     assert parse_set_file(text) == ds

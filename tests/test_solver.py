@@ -1,7 +1,11 @@
+import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracpow import (
     DomainError,
@@ -22,7 +26,8 @@ from fracpow import (
     solve_formal,
     verify_solution,
 )
-from fracpow.arith import in_qbprime_off_nprime
+from fracpow.arith import in_nprime, in_qbprime_off_nprime
+from helpers import brute_force_alternating_sum
 
 M23 = MSpec(((2, 1), (3, 1)))
 M24 = MSpec(((2, 1), (4, 1)))
@@ -173,6 +178,61 @@ def test_product_exponent_recurrence():
         bd = m.b * d
         rhs = F(mex.get(bd.numerator, 0), 1) if bd.denominator == 1 else F(0)
         assert lhs == rhs / m.e, d
+
+
+@st.composite
+def _contracting_forms(draw):
+    # 2-4 coefficients <= 30 with sum b_0/b_i <= 3/4, so the number of
+    # ordered index tuples the brute force visits stays small
+    b0 = draw(st.integers(1, 22))
+    others = draw(
+        st.lists(st.integers(-(-4 * b0 // 3), 30), min_size=1, max_size=3, unique=True)
+    )
+    assume(sum(F(b0, b) for b in others) <= F(3, 4))
+    return MSpec(tuple((b, draw(st.integers(1, 4))) for b in [b0] + sorted(others)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_alternating_sums_match_tuple_brute_force(data):
+    m = data.draw(_contracting_forms())
+    orders = [n for n in range(1, 41) if in_nprime(n, m)]
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=len(orders), max_size=len(orders)))
+    mex = {n: v for n, v in zip(orders, values) if v}
+    d = data.draw(st.integers(1, 12))
+    lam = F(data.draw(st.integers(1, 40 * m.b)), m.b ** data.draw(st.integers(1, 2)))
+    # an index whose chain of steps lands exactly on the smallest order
+    steps = data.draw(st.lists(st.sampled_from(m.coefficients[1:]), max_size=3))
+    edge = F(min(mex, default=1), m.b) * math.prod(F(b, m.b) for b in steps)
+    for x in (d, lam, edge):
+        assert product_exponent(m, mex, x) == brute_force_alternating_sum(m, mex, m.b * x) / m.e
+        if in_qbprime_off_nprime(x, m):
+            assert series_obstruction(m, mex, x) == brute_force_alternating_sum(m, mex, x)
+
+
+def test_product_exponent_recurrence_consecutive_coefficients():
+    # ratios 12/11 and 13/11 near 1: an ordered-tuple walk is exponential
+    m = MSpec(((11, 1), (12, 1), (13, 1)))
+    mex = {n: (-1) ** n for n in range(1, 200) if in_nprime(n, m)}
+    nonzero = 0
+    for d in range(1, 65):
+        g = product_exponent(m, mex, d)
+        nonzero += g != 0
+        lhs = g + sum(nu * product_exponent(m, mex, d / t) for t, nu in zip(m.thetas, m.nus))
+        assert lhs == F(mex.get(m.b * d, 0), m.e), d
+    assert nonzero
+
+
+def test_decide_long_chain():
+    # theta = 1001/1000 gives a chain about 6,900 levels deep from b d = 1000
+    report = decide(MSpec(((1000, 1), (1001, 1))))
+    assert json.dumps(report.to_json_dict()) == (
+        '{"verdict": "impossible_by_theorem", "certificate": {"witness": {"p": 2, "t": 1}, '
+        '"nprime_part": {"basis": "phi", "exps": [[1, "-1"]]}, "onemx_exponents": [[1, -1]], '
+        '"gd_samples": [], "vanish_bound": 1, "recurrence": {"p": 2, "t": 3, "a": [1, 0, 0, 1], '
+        '"total": 2, "gcd": 1}, "contradiction": {"gcd": 1, "total": 2, "holds": true}}, '
+        '"evidence": null}'
+    )
 
 
 def test_hypothesis_check():
