@@ -1,13 +1,15 @@
-"""Brute-force representation counting and digit-set constructions.
+"""Representation counting and digit-set constructions.
 
 For a form M = {(b_i, e_i)} and a set A of non-negative integers,
 r_M(n, A) counts ordered tuples (a_{i,j}) in A with
 
     n = b_0 (a_{0,1} + ... + a_{0,e_0}) + ... + b_m (a_{m,1} + ... + a_{m,e_m}).
 
-Counting is one exact integer convolution per (b_i, e_i) slot,
-truncated at the requested bound: identical arithmetic to expanding
-the generating-function product prod f_A(x^{b_i})^{e_i}.
+r_M(n, A) is the coefficient of x^n in prod f_A(x^{b_i})^{e_i}, with
+f_A(x) = sum_{a in A} x^a, expanded on one integer list truncated at
+the requested bound by series.times_sparse, the kernel behind the
+(1 - x^d) products.  generating_check recomputes it in FracSeries
+arithmetic as an independent cross-check.
 
 Working with a bounded prefix of an infinite set is sound below the
 *safe bound* b_0 * X: a representation touching an omitted element
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .arith import MSpec
 from .errors import DomainError, UsageError
-from .series import FracSeries
+from .series import FracSeries, times_sparse
 
 
 @dataclass(frozen=True)
@@ -75,23 +77,20 @@ def build_digit_set(k: int, period: int, bound: int) -> BoundedSet:
 
 
 def representation_counts(m: MSpec, elements, upto: int) -> list[int]:
-    """r_M(n) for n = 0..upto over the given finite element list, by
-    iterated truncated convolution (one pass per multiplicity slot)."""
+    """r_M(n) for n = 0..upto over the given finite list of non-negative
+    elements: the coefficients of prod f_A(x^{b_i})^{e_i}, one
+    series.times_sparse call per multiplicity slot, with the shifts
+    b_i * a <= upto as unit terms."""
     if upto < 0:
         raise DomainError(f"upto must be >= 0, got {upto}")
-    counts = [0] * (upto + 1)
-    counts[0] = 1
+    elems = sorted(set(elements))
+    if elems and elems[0] < 0:
+        raise DomainError(f"set elements must be non-negative, got {elems[0]}")
+    counts = [1] + [0] * upto
     for b_i, e_i in m.pairs:
-        support = sorted(b_i * a for a in set(elements) if b_i * a <= upto)
+        terms = [(b_i * a, 1) for a in elems if b_i * a <= upto]
         for _ in range(e_i):
-            fresh = [0] * (upto + 1)
-            for shift in support:
-                limit = upto - shift
-                for n in range(limit + 1):
-                    c = counts[n]
-                    if c:
-                        fresh[n + shift] += c
-            counts = fresh
+            counts = times_sparse(counts, terms)
     return counts
 
 

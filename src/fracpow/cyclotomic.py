@@ -45,7 +45,13 @@ from .arith import (
     parse_rational,
 )
 from .errors import DomainError
-from .series import FracSeries, one_minus_x_power, onemx_coefficients, pow_alpha
+from .series import (
+    FracSeries,
+    one_minus_x_power,
+    onemx_coefficients,
+    pow_alpha,
+    times_sparse,
+)
 
 
 class IntPolynomial:
@@ -121,15 +127,8 @@ class IntPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return IntPolynomial([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
+        padded = list(self.coeffs) + [0] * (len(other.coeffs) - 1)
+        return IntPolynomial(times_sparse(padded, list(enumerate(other.coeffs))))
 
     __rmul__ = __mul__
 

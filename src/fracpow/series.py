@@ -24,6 +24,9 @@ Supported operations:
                           P(x) prod (1 - x^d)^v for integer d, v: the
                           one expander of integer-exponent products,
                           exact binomial weights on an integer list
+    times_sparse          list * sum w x^s, truncated: the one list
+                          convolution (onemx_coefficients, counting,
+                          IntPolynomial multiplication)
     product_truncated     finite product of factors 1 + h, ord h > 0
     recover_product_exponents
                           unique exponents a_n with
@@ -58,8 +61,6 @@ from fractions import Fraction
 
 from .arith import format_rational, parse_rational
 from .errors import DomainError, NotInvertibleError, UsageError
-
-VALUATION_BASE = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -407,28 +408,12 @@ class FracSeries:
 
 def one_minus_x_power(cutoff, d) -> FracSeries:
     """The binomial 1 - x^d at the given cutoff (just 1 when d > cutoff)."""
-    cutoff = Fraction(cutoff)
-    d = Fraction(d)
-    if d <= 0:
-        raise DomainError(f"exponent must be positive, got {d}")
-    terms = {Fraction(0): Fraction(1)}
-    if d <= cutoff:
-        terms[d] = Fraction(-1)
-    return FracSeries(cutoff, terms)
+    return onemx_product(cutoff, [(d, 1)])
 
 
 def geometric_inverse(cutoff, d) -> FracSeries:
     """1 / (1 - x^d) = 1 + x^d + x^{2d} + ... truncated at the cutoff."""
-    cutoff = Fraction(cutoff)
-    d = Fraction(d)
-    if d <= 0:
-        raise DomainError(f"exponent must be positive, got {d}")
-    terms = {}
-    e = Fraction(0)
-    while e <= cutoff:
-        terms[e] = Fraction(1)
-        e += d
-    return FracSeries(cutoff, terms)
+    return onemx_product(cutoff, [(d, -1)])
 
 
 def onemx_product(cutoff, factors, poly=(1,)) -> FracSeries:
@@ -437,16 +422,17 @@ def onemx_product(cutoff, factors, poly=(1,)) -> FracSeries:
     series truncated at the cutoff (see onemx_coefficients)."""
     cutoff = Fraction(cutoff)
     coeffs = onemx_coefficients(math.floor(cutoff), factors, poly)
-    return FracSeries(cutoff, dict(enumerate(coeffs)))
+    return FracSeries(cutoff, {i: c for i, c in enumerate(coeffs) if c})
 
 
 def onemx_coefficients(n: int, factors, poly=(1,)) -> list[int]:
     """The coefficients of x^0 .. x^n of poly(x) * prod (1 - x^d)^v.
 
-    Each factor adds one shifted pass over the list per exact weight
-    w_j of x^{jd} in (1 - x^d)^v, jd <= n: (-1)^j C(v, j) for v > 0,
-    C(|v|+j-1, j) for v < 0.  That is at most n/d passes whatever |v|
-    is; for |v| <= n/d, v < 0 is |v| prefix sums mod d instead.
+    Each factor is one times_sparse call with the exact weights w_j of
+    x^{jd} in (1 - x^d)^v, jd <= n: (-1)^j C(v, j) for v > 0,
+    C(|v|+j-1, j) for v < 0, so at most n/d + 1 terms whatever |v| is.
+    For v < 0 with |v| <= n/d, |v| prefix sums mod d replace the call.
+    Factors with v > 0 run first, largest d first, while coeffs is sparse.
     """
     coeffs = [0] * (n + 1)
     for i, c in enumerate(poly[: n + 1]):
@@ -454,23 +440,41 @@ def onemx_coefficients(n: int, factors, poly=(1,)) -> list[int]:
         if c.denominator != 1:
             raise DomainError(f"polynomial coefficient {c} is not an integer")
         coeffs[i] = c.numerator
-    for d, v in factors:
-        if d < 1:
-            raise DomainError(f"factor order must be positive, got {d}")
+    for d, v in sorted(factors, key=lambda f: (f[1] < 0, -f[0])):
+        if d != math.floor(d) or d < 1:
+            raise DomainError(f"factor order must be a positive integer, got {d}")
+        d = int(d)
         if v < 0 and -v <= n // d:
             for _ in range(-v):
                 for r in range(d):
                     coeffs[r::d] = itertools.accumulate(coeffs[r::d])
             continue
-        source = coeffs[:]
+        terms = [(0, 1)]
         w = 1
         for j in range(1, n // d + 1):
             w = w * (j - 1 - v) // j
             if not w:
                 break
-            shift = j * d
-            coeffs[shift:] = [c + w * x for c, x in zip(coeffs[shift:], source)]
+            terms.append((j * d, w))
+        coeffs = times_sparse(coeffs, terms)
     return coeffs
+
+
+def times_sparse(coeffs: list, terms) -> list:
+    """coeffs * sum w x^s over the (s, w) pairs of `terms`, s >= 0
+    ascending, truncated to len(coeffs).  One pass over the nonzero
+    entries of coeffs (ints or Fractions), each stopping at the first
+    shift past the end."""
+    n = len(coeffs)
+    out = [0] * n
+    for i, c in enumerate(coeffs):
+        if c:
+            room = n - i
+            for s, w in terms:
+                if s >= room:
+                    break
+                out[i + s] += c * w
+    return out
 
 
 def _recurrence(h: FracSeries, source: FracSeries, weight, scale) -> FracSeries:

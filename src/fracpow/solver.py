@@ -422,11 +422,7 @@ class DecisionReport:
         return out
 
 
-def decide(
-    m: MSpec,
-    p_poly: IntPolynomial | None = None,
-    evidence_cutoff=EVIDENCE_CUTOFF,
-) -> DecisionReport:
+def decide(m: MSpec, p_poly: IntPolynomial | None = None) -> DecisionReport:
     """Decide whether the representation function of the form can be
     eventually constant, for right-hand sides P(x)/(1-x).
 
@@ -448,7 +444,7 @@ def decide(
     if witness is None:
         evidence = None
         if m.b >= 2:
-            f = solve_formal(m, rhs, evidence_cutoff)
+            f = solve_formal(m, rhs, EVIDENCE_CUTOFF)
             # lowest fractional exponents only; the full report can be
             # regenerated at any cutoff through integrality_report
             evidence = tuple(integrality_report(f)[:EVIDENCE_LIMIT])

@@ -61,15 +61,30 @@ def test_count_examples():
 
 def test_counts_match_brute_force():
     rng = random.Random(103)
-    for _ in range(25):
+    for case in range(60):
         pair_count = rng.randint(1, 3)
         bs = sorted(rng.sample(range(1, 7), pair_count))
-        m = MSpec(tuple((b, rng.randint(1, 2)) for b in bs))
-        elements = tuple(sorted(rng.sample(range(0, 25), rng.randint(1, 8))))
-        upto = rng.randint(0, 30)
+        m = MSpec(tuple((b, rng.randint(1, 3)) for b in bs))
+        if case % 4 == 3:
+            # dense: every shift up to the bound, kept small for the brute force
+            upto = rng.randint(0, 14)
+            elements = tuple(range(upto + 1))
+        else:
+            upto = rng.randint(0, 30) if case % 5 else 0
+            elements = tuple(sorted(rng.sample(range(0, 25), rng.randint(1, 8))))
+            if case % 2:
+                elements = tuple(sorted(set(elements) | {0}))
         assert representation_counts(m, elements, upto) == brute_force_counts(
             m, elements, upto
-        )
+        ), (m, elements, upto)
+
+
+def test_counts_reject_negative_elements():
+    with pytest.raises(DomainError):
+        representation_counts(M12, [-1, 0, 1], 6)
+    with pytest.raises(DomainError):
+        count_representations(PAIR, [3, -2], 4)
+    assert representation_counts(M12, [], 3) == [0, 0, 0, 0]
 
 
 def test_constancy_scan():

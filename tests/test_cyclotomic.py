@@ -53,6 +53,22 @@ def test_polynomial_basics():
     assert IntPolynomial([1, 1, 1])(2) == 7
 
 
+def test_polynomial_product_by_evaluation():
+    # deg p + deg q + 1 points determine p * q
+    rng = random.Random(71)
+    for _ in range(20):
+        p = IntPolynomial(
+            [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(0, 7))]
+        )
+        q = IntPolynomial([rng.randint(-5, 5) for _ in range(rng.randint(0, 7))])
+        pq = p * q
+        assert pq.is_zero == (p.is_zero or q.is_zero)
+        if not pq.is_zero:
+            assert pq.degree == p.degree + q.degree
+        for x in range(-1, len(p.coeffs) + len(q.coeffs)):
+            assert pq(x) == p(x) * q(x)
+
+
 def test_cyclotomic_small():
     assert str(cyclotomic_poly(1)) == "1 - x"
     assert str(cyclotomic_poly(2)) == "1 + x"

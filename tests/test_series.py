@@ -24,6 +24,7 @@ from fracpow.series import (
     geometric_inverse,
     one_minus_x_power,
     onemx_product,
+    times_sparse,
     valuation_max,
 )
 from helpers import dyadic_exponents, rand_series, rand_unit_series, tau_oracle
@@ -387,6 +388,28 @@ def test_onemx_product_edges():
         onemx_product(T, [(0, 1)])
     with pytest.raises(DomainError):
         onemx_product(T, [], (1, F(1, 2)))
+    assert one_minus_x_power(T, 9) == FracSeries.one(T)
+    assert geometric_inverse(F(7, 2), F(2)) == FracSeries(F(7, 2), {0: 1, 2: 1})
+    for d in (F(1, 2), F(3, 2), 0, -1):
+        with pytest.raises(DomainError):
+            one_minus_x_power(T, d)
+        with pytest.raises(DomainError):
+            geometric_inverse(T, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), max_size=12),
+    st.dictionaries(st.integers(0, 14), st.integers(-4, 4), max_size=5),
+)
+def test_times_sparse_matches_dense_product(coeffs, weights):
+    n = len(coeffs)
+    expected = [0] * n
+    for i, c in enumerate(coeffs):
+        for s, w in weights.items():
+            if i + s < n:
+                expected[i + s] += c * w
+    assert times_sparse(coeffs, sorted(weights.items())) == expected
 
 
 def test_recover_product_exponents():
