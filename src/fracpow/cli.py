@@ -12,8 +12,9 @@ Subcommands:
 
 All numeric flags are exact integers or rationals ('num/den'); output
 is deterministic JSON (rationals as strings) or plain text.  Exit
-codes: 0 success, 1 domain/hypothesis error, 2 usage error; errors
-are reported as one JSON object on stderr.
+codes: 0 success, 1 domain/hypothesis error or failed self-check
+(kind "internal"), 2 usage error; errors are reported as one JSON
+object on stderr.
 """
 
 import argparse
@@ -35,7 +36,7 @@ from .cyclotomic import (
     expand_phi_power,
     nprime_cyclotomic_part,
 )
-from .errors import DomainError, FracpowError, UsageError
+from .errors import DomainError, FracpowError, InternalError, UsageError
 from .lattice import LatticeSpec, enumerate_below
 from .series import onemx_coefficients
 from .solver import RhsSpec, decide, solve_formal, verify_solution
@@ -102,7 +103,7 @@ def _cmd_solve(args) -> int:
     cutoff = _parse_positive(args.cutoff, "--cutoff")
     f = solve_formal(m, rhs, cutoff)
     if not verify_solution(f, m, rhs):
-        raise AssertionError("solution failed residual verification")
+        raise InternalError("solution failed residual verification")
     _emit(args, f.to_json_dict(), str(f))
     return 0
 

@@ -1,7 +1,7 @@
 """Exception types shared by all fracpow modules.
 
 The CLI maps these onto exit codes: UsageError exits 2, everything
-else derived from FracpowError exits 1.
+else derived from FracpowError exits 1, InternalError included.
 """
 
 
@@ -39,3 +39,9 @@ class CapacityError(FracpowError):
     """Input needs factorizations beyond the configured sieve limit."""
 
     kind = "capacity"
+
+
+class InternalError(FracpowError):
+    """A self-check of the library failed: a bug, not a bad input."""
+
+    kind = "internal"

@@ -32,22 +32,54 @@ Supported operations:
                           unique exponents a_n with
                           f = prod (1 - x^n)^{a_n} below the cutoff
 
+Representation.  Every exponent of a series is an integer over one
+grid denominator D, the least one that fits (1 for integer exponents;
+a power of b_0 on solver paths, whose exponents lie on F(theta)/b_0).
+A series stores the cutoff, D and {k: c} for the terms c x^(k/D),
+ascending in k; coefficients stay exact Fractions, each in lowest
+terms.  Keeping D least keeps == and hash structural.  The public API
+(items, coefficient, order, to_json_dict, str) speaks Fractions.  A
+binary operation first rewrites both operands over lcm(D_f, D_g);
++, -, truncate, substitute_power (k/D -> k p / (D q) for x -> x^(p/q))
+and recover_product_exponents then work on integer keys alone.
+
+Product.  f * g scales each operand to integers over its own lcm
+coefficient denominator and shifts it down by its least key.  Then one
+of two kernels sums the integer products below the cutoff index
+N = floor(T D):
+
+    Kronecker  pack each operand into one int, one coefficient per
+               byte-aligned slot of bits(max|A|) + bits(max|B|) +
+               bits(min(|f|, |g|)) + 2 bits; one bigint multiply; read
+               the low slots back with byte slices and a signed carry
+               (Harvey, JSC 2009)
+    schoolbook the double loop over the pairs below N
+
+Kronecker runs when slots + (slots * slot_bits)^1.25 / 72 is below the
+count of pairs under N: reading a slot back costs about one pair, and
+CPython's bigint multiply grows about as the 1.25 power of its size.
+One-term operands and grids made sparse by many primes in D (N = T D
+slots for few terms) take the schoolbook loop.
+
 Division, exp, log1p and pow_alpha each solve a triangular recurrence
 over ascending exponents, and all four run on one engine,
-_recurrence(h, source, w, scale), with ord h > 0:
+_recurrence(h, source, p, q, c0), with ord h > 0:
 
-    g_l = (source_l + sum_{mu in supp h, mu <= l} h_mu w(l, mu) g_{l-mu}) / scale(l)
+    g_l = (source_l + sum_{mu in supp h, mu <= l} h_mu (p(mu) + q (l - mu)) g_{l-mu}) / scale(l)
 
-    caller              h         source        w(l, mu)         scale(l)
-    num / den           den - c0  num           -1               c0
-    exp_series(f)       f         1             mu               l (1 at 0)
-    log1p_series(f)     f         l f_l         mu - l           l
-    pow_alpha(1+h, a)   h         1             a mu - l + mu    l (1 at 0)
+    caller              h         source   p(mu)        q    scale(l)
+    num / den           den - c0  num      -1           0    c0
+    exp_series(f)       f         1        mu           0    l (1 at 0)
+    log1p_series(f)     f         l f_l    0            -1   l
+    pow_alpha(1+h, a)   h         1        a mu         -1   l (1 at 0)
 
+The weight p(mu) + q (l - mu) is p(mu) + q k for the contributing term
+g_k, k = l - mu, so the engine forms h_mu p(mu) and h_mu q once per mu
+and sums each g_l as one integer dot product over its contributors.
 invert, log_derivative, negative powers and recover_product_exponents
 reach it through division.
 
-Everything is exact: exponents and coefficients are Fractions, no
+Everything is exact: exponents and coefficients are rationals, no
 floating point anywhere.  All series entering a binary operation must
 share one cutoff; substitute_power is the only operation that
 rescales it.
@@ -59,7 +91,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import format_rational, parse_rational
+from .arith import format_rational
 from .errors import DomainError, NotInvertibleError, UsageError
 
 
@@ -137,7 +169,8 @@ def valuation_max(a: Valuation, b: Valuation) -> Valuation:
 
 
 class FracSeries:
-    """Sparse truncated series: cutoff + {exponent: coefficient}."""
+    """Sparse truncated series: cutoff + {exponent: coefficient}, kept
+    as {k: coefficient} for the exponents k/D of one grid 1/D."""
 
     def __init__(self, cutoff, terms=None):
         cutoff = Fraction(cutoff)
@@ -154,9 +187,37 @@ class FracSeries:
             if e > cutoff:
                 raise UsageError(f"exponent {e} exceeds cutoff {cutoff}")
             clean[e] = c
+        den = math.lcm(*(e.denominator for e in clean))
+        self._store(
+            cutoff, den, {e.numerator * (den // e.denominator): c for e, c in clean.items()}
+        )
+
+    @classmethod
+    def _grid(cls, cutoff: Fraction, den: int, coeffs: dict) -> "FracSeries":
+        """The series sum c x^(k/den) over the {k: c} of coeffs, with
+        0 <= k/den <= cutoff; zero coefficients are dropped."""
+        out = cls.__new__(cls)
+        out._store(cutoff, den, coeffs)
+        return out
+
+    def _store(self, cutoff, den, coeffs):
+        # ascending keys over the least denominator, so that == and hash
+        # compare the grid maps structurally
+        coeffs = {k: c for k, c in sorted(coeffs.items()) if c}
+        g = math.gcd(den, *coeffs)
+        if g > 1:
+            den //= g
+            coeffs = {k // g: c for k, c in coeffs.items()}
         self.cutoff = cutoff
-        self._terms = clean
-        self._sorted = None
+        self._den = den
+        self._coeffs = coeffs
+
+    def _keys_over(self, den: int) -> dict:
+        """The grid map rewritten over den, a multiple of the own den."""
+        f = den // self._den
+        if f == 1:
+            return self._coeffs
+        return {k * f: c for k, c in self._coeffs.items()}
 
     # -- constructors ------------------------------------------------
 
@@ -180,53 +241,40 @@ class FracSeries:
 
     def items(self) -> list[tuple[Fraction, Fraction]]:
         """Terms as (exponent, coefficient) pairs, ascending exponent."""
-        if self._sorted is None:
-            self._sorted = sorted(self._terms.items())
-        return self._sorted
+        den = self._den
+        return [(Fraction(k, den), c) for k, c in self._coeffs.items()]
 
     def coefficient(self, exponent) -> Fraction:
-        return self._terms.get(Fraction(exponent), Fraction(0))
+        k = Fraction(exponent) * self._den
+        if k.denominator != 1:
+            return Fraction(0)
+        return self._coeffs.get(k.numerator, Fraction(0))
 
     @property
     def constant_term(self) -> Fraction:
-        return self._terms.get(Fraction(0), Fraction(0))
+        return self._coeffs.get(0, Fraction(0))
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
-
-    def exponents_integral_below(self, bound) -> bool:
-        bound = Fraction(bound)
-        return all(e.denominator == 1 for e in self._terms if e <= bound)
-
-    def exponents_on_base_grid(self, b: int) -> bool:
-        """True iff every exponent denominator divides some power of b
-        (the admissible-exponent grid of a base-b lattice)."""
-        if b < 1:
-            raise DomainError(f"base must be >= 1, got {b}")
-        for e in self._terms:
-            den = e.denominator
-            while den != 1:
-                g = math.gcd(den, b)
-                if g == 1:
-                    return False
-                while den % g == 0:
-                    den //= g
-        return True
+        return not self._coeffs
 
     def __eq__(self, other):
         if not isinstance(other, FracSeries):
             return NotImplemented
-        return self.cutoff == other.cutoff and self._terms == other._terms
+        return (
+            self.cutoff == other.cutoff
+            and self._den == other._den
+            and self._coeffs == other._coeffs
+        )
 
     def __hash__(self):
-        return hash((self.cutoff, frozenset(self._terms.items())))
+        return hash((self.cutoff, self._den, frozenset(self._coeffs.items())))
 
     def __repr__(self):
         return f"FracSeries({format_rational(self.cutoff)}; {self})"
 
     def __str__(self):
-        if not self._terms:
+        if not self._coeffs:
             return "0"
         parts = []
         for e, c in self.items():
@@ -260,23 +308,19 @@ class FracSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-        return FracSeries(self.cutoff, out)
+        den = math.lcm(self._den, other._den)
+        out = dict(self._keys_over(den))
+        for k, c in other._keys_over(den).items():
+            acc = out.get(k)
+            out[k] = c if acc is None else acc + c
+        return FracSeries._grid(self.cutoff, den, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FracSeries(self.cutoff, {e: -c for e, c in self._terms.items()})
+        return FracSeries._grid(
+            self.cutoff, self._den, {k: -c for k, c in self._coeffs.items()}
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -289,29 +333,16 @@ class FracSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return FracSeries.zero(self.cutoff)
-            return FracSeries(
-                self.cutoff, {e: c * other for e, c in self._terms.items()}
+            return FracSeries._grid(
+                self.cutoff, self._den, {k: c * other for k, c in self._coeffs.items()}
             )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        T = self.cutoff
-        a = self.items()
-        b = other.items()
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Fraction, Fraction] = {}
-        for ea, ca in a:
-            room = T - ea
-            for eb, cb in b:
-                if eb > room:
-                    break
-                e = ea + eb
-                acc = out.get(e)
-                out[e] = ca * cb if acc is None else acc + ca * cb
-        return FracSeries(T, out)
+        den = math.lcm(self._den, other._den)
+        a = self._keys_over(den)
+        b = a if other is self else other._keys_over(den)
+        return FracSeries._grid(self.cutoff, den, _product(a, b, _top(self.cutoff, den)))
 
     __rmul__ = __mul__
 
@@ -341,9 +372,9 @@ class FracSeries:
     # -- order and valuation -------------------------------------------
 
     def order(self) -> SeriesOrder:
-        if not self._terms:
-            return SeriesOrder(None)
-        return SeriesOrder(min(self._terms))
+        for k in self._coeffs:
+            return SeriesOrder(Fraction(k, self._den))
+        return SeriesOrder(None)
 
     def valuation(self) -> Valuation:
         return Valuation(self.order().value)
@@ -357,8 +388,9 @@ class FracSeries:
             raise UsageError(
                 f"cannot extend cutoff {self.cutoff} to {new_cutoff}"
             )
-        return FracSeries(
-            new_cutoff, {e: c for e, c in self._terms.items() if e <= new_cutoff}
+        top = _top(new_cutoff, self._den)
+        return FracSeries._grid(
+            new_cutoff, self._den, {k: c for k, c in self._coeffs.items() if k <= top}
         )
 
     def substitute_power(self, rho) -> "FracSeries":
@@ -366,14 +398,18 @@ class FracSeries:
         rho = Fraction(rho)
         if rho <= 0:
             raise DomainError(f"substitution power must be positive, got {rho}")
-        return FracSeries(
-            self.cutoff * rho, {e * rho: c for e, c in self._terms.items()}
+        p = rho.numerator
+        return FracSeries._grid(
+            self.cutoff * rho,
+            self._den * rho.denominator,
+            {k * p: c for k, c in self._coeffs.items()},
         )
 
     def xderive(self) -> "FracSeries":
         """x f'(x): multiply each coefficient by its exponent."""
-        return FracSeries(
-            self.cutoff, {e: c * e for e, c in self._terms.items() if e != 0}
+        den = self._den
+        return FracSeries._grid(
+            self.cutoff, den, {k: c * Fraction(k, den) for k, c in self._coeffs.items()}
         )
 
     def invert(self) -> "FracSeries":
@@ -394,16 +430,132 @@ class FracSeries:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FracSeries":
-        try:
-            cutoff = parse_rational(data["cutoff"])
-            terms = {
-                parse_rational(e): parse_rational(c) for e, c in data["terms"]
-            }
-        except (KeyError, TypeError, ValueError):
-            raise DomainError("malformed series JSON")
-        return cls(cutoff, terms)
+
+def _top(cutoff: Fraction, den: int) -> int:
+    """The largest grid index k with k/den <= cutoff."""
+    return cutoff.numerator * den // cutoff.denominator
+
+
+# Cost of one Kronecker product, in schoolbook pairs: the unpack pass
+# costs about one pair per slot, and CPython's multiply of two
+# bits-bit integers about bits^1.25 / 72 pairs (fitted over 15 kbit to
+# 4 Mbit products, Python 3.11).
+KRONECKER_PAIRS_PER_BIT_POWER = 72
+
+
+def _product(a: dict, b: dict, top: int) -> dict:
+    """{k: c} of the product of two grid maps (ascending keys, Fraction
+    coefficients) over one denominator, up to grid index top.
+
+    Both operands become integers over their lcm coefficient
+    denominator, shifted down by their least key.  Kronecker
+    substitution packs them into slots of slot_bits = 8 *
+    ceil((bits(max|A|) + bits(max|B|) + bits(min(|a|, |b|)) + 2) / 8)
+    bits; it runs when slots + (slots * slot_bits)^1.25 / 72 is below
+    the schoolbook loop's count of pairs under the cutoff.
+    """
+    if not a or not b:
+        return {}
+    a0, b0 = next(iter(a)), next(iter(b))
+    room = top - a0 - b0
+    if room < 0:
+        return {}
+    ia, la = _scaled(a, a0, room)
+    ib, lb = (ia, la) if a is b else _scaled(b, b0, room)
+    slots = min(room, ia[-1][0] + ib[-1][0]) + 1
+    sb = (
+        max(abs(c) for _, c in ia).bit_length()
+        + max(abs(c) for _, c in ib).bit_length()
+        + min(len(ia), len(ib)).bit_length()
+        + 9
+    ) // 8
+    bits = slots * sb * 8
+    pairs = _pair_count(ia, ib, room)
+    if bits * math.isqrt(math.isqrt(bits)) < KRONECKER_PAIRS_PER_BIT_POWER * (pairs - slots):
+        out = _kronecker(ia, ib, slots, sb)
+    else:
+        out = _schoolbook(ia, ib, room)
+    den = la * lb
+    shift = a0 + b0
+    return {shift + k: Fraction(v, den) for k, v in out.items() if v}
+
+
+def _pair_count(a: list, b: list, top: int) -> int:
+    """Number of pairs of keys of a and b (both ascending) summing to at
+    most top."""
+    count, j = 0, len(b)
+    for ka, _ in a:
+        while j and b[j - 1][0] > top - ka:
+            j -= 1
+        count += j
+    return count
+
+
+def _scaled(coeffs: dict, lo: int, room: int) -> tuple[list, int]:
+    """[(k - lo, c * L)] for the keys k <= lo + room, and L, the lcm of
+    their coefficient denominators."""
+    terms = [(k - lo, c) for k, c in coeffs.items() if k - lo <= room]
+    lcm = math.lcm(*(c.denominator for _, c in terms))
+    return [(k, c.numerator * (lcm // c.denominator)) for k, c in terms], lcm
+
+
+def _schoolbook(a: list, b: list, top: int) -> dict:
+    """Integer products of the (k, A) pairs of a and b, summed per key
+    up to top; b ascending."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, int] = {}
+    for ka, ca in a:
+        room = top - ka
+        for kb, cb in b:
+            if kb > room:
+                break
+            k = ka + kb
+            out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
+def _kronecker(a: list, b: list, slots: int, sb: int) -> dict:
+    """The same sums by one bigint multiply: each operand packed as
+    sum A 2^(8 sb k), the product read back slot by slot from its low
+    slots * sb bytes.  A slot holds a signed value, so a negative one
+    borrows 1 from the slot above it (the carry)."""
+    size = slots * sb
+    pa = _pack(a, sb, size)
+    product = pa * pa if a is b else pa * _pack(b, sb, size)
+    del pa
+    product &= (1 << (8 * size)) - 1
+    data = product.to_bytes(size, "little")
+    del product
+    half = 1 << (8 * sb - 1)
+    full = half << 1
+    out: dict[int, int] = {}
+    carry = 0
+    for k, i in enumerate(range(0, size, sb)):
+        v = int.from_bytes(data[i : i + sb], "little") + carry
+        if v >= half:
+            v -= full
+            carry = 1
+        else:
+            carry = 0
+        if v:
+            out[k] = v
+    return out
+
+
+def _pack(terms: list, sb: int, size: int) -> int:
+    """sum A 2^(8 sb k) over the (k, A) pairs: the positive part minus
+    the negative part, each read from byte slots of one buffer."""
+    out = 0
+    for sign in (1, -1):
+        part = [(k, sign * c) for k, c in terms if sign * c > 0]
+        if part:
+            buf = bytearray(size)
+            for k, c in part:
+                buf[k * sb : k * sb + sb] = c.to_bytes(sb, "little")
+            out += sign * int.from_bytes(buf, "little")
+            del buf
+    return out
 
 
 def one_minus_x_power(cutoff, d) -> FracSeries:
@@ -477,42 +629,67 @@ def times_sparse(coeffs: list, terms) -> list:
     return out
 
 
-def _recurrence(h: FracSeries, source: FracSeries, weight, scale) -> FracSeries:
+def _recurrence(h: FracSeries, source: FracSeries, p, q: int, c0=None) -> FracSeries:
     """The one engine behind division, exp, log1p and pow_alpha:
 
-        g_l = (source_l + sum_{mu in supp h, mu <= l} h_mu w(l, mu) g_{l-mu}) / scale(l)
+        g_l = (source_l + sum_mu h_mu (p(mu) + q (l - mu)) g_{l-mu}) / scale(l)
 
-    for ord h > 0.  Exponents are popped in ascending order from one
-    heap seeded with supp(source).  Each nonzero g_l adds its terms
-    h_mu w(l + mu, mu) g_l to the pending sums at l + supp(h), so a
-    sum is complete when popped.  The work is |supp g| * |supp h|
-    pairs: a pending sum that cancels to zero costs nothing further.
+    over mu in supp h with mu <= l, for ord h > 0; scale(l) is c0, or
+    l (1 at 0) when c0 is None.  Grid indices are popped in ascending
+    order from one heap seeded with supp(source).  Each nonzero g_k is
+    recorded as a contributor to the pending indices k + supp(h), so a
+    popped index has all of its contributors.  Their sum is one integer
+    dot product: the weight h_mu (p(mu) + q k/D) is (P_mu + Q_mu k) / w
+    over one integer w, fixed per call, and each g_k is read over the
+    lcm of the contributors' denominators.  The work is
+    |supp g| * |supp h| pairs and one Fraction per popped index.
     """
     T = h.cutoff
-    supp = h.items()
-    pending = dict(source._terms)
+    den = math.lcm(h._den, source._den)
+    top = _top(T, den)
+    hs = [(j, c) for j, c in h._keys_over(den).items() if j <= top]
+    ps = [c * p(Fraction(j, den)) for j, c in hs]
+    w = den * math.lcm(*(x.denominator for x in ps), *(c.denominator for _, c in hs))
+    P = {j: x.numerator * (w // x.denominator) for (j, _), x in zip(hs, ps)}
+    Q = {j: q * c.numerator * (w // den // c.denominator) for j, c in hs}
+    src = source._keys_over(den)
+    pending: dict[int, list] = {k: [] for k in src}
     heap = list(pending)
     heapq.heapify(heap)
-    g: dict[Fraction, Fraction] = {}
+    g: dict[int, Fraction] = {}
+    nums: dict[int, int] = {}
+    dens: dict[int, int] = {}
     while heap:
         lam = heapq.heappop(heap)
-        total = pending.pop(lam)
+        ks = pending.pop(lam)
+        total = src.get(lam, 0)
+        if ks:
+            lcm = math.lcm(*[dens[k] for k in ks])
+            if q:
+                s = sum((P[lam - k] + Q[lam - k] * k) * nums[k] * (lcm // dens[k]) for k in ks)
+            else:
+                s = sum(P[lam - k] * nums[k] * (lcm // dens[k]) for k in ks)
+            total += Fraction(s, lcm * w)
         if not total:
             continue
-        val = total / scale(lam)
+        if c0 is not None:
+            val = total / c0
+        else:
+            val = total * Fraction(den, lam) if lam else total
         g[lam] = val
-        for mu, c in supp:
-            ne = lam + mu
-            if ne > T:
+        nums[lam] = val.numerator
+        dens[lam] = val.denominator
+        for j, _ in hs:
+            ne = lam + j
+            if ne > top:
                 break
-            term = c * weight(ne, mu) * val
-            prev = pending.get(ne)
-            if prev is None:
-                pending[ne] = term
+            contributors = pending.get(ne)
+            if contributors is None:
+                pending[ne] = [lam]
                 heapq.heappush(heap, ne)
             else:
-                pending[ne] = prev + term
-    return FracSeries(T, g)
+                contributors.append(lam)
+    return FracSeries._grid(T, den, g)
 
 
 def _divide(num: FracSeries, den: FracSeries) -> FracSeries:
@@ -523,7 +700,7 @@ def _divide(num: FracSeries, den: FracSeries) -> FracSeries:
     c0 = den.constant_term
     if c0 == 0:
         raise NotInvertibleError("constant term is zero; not invertible")
-    return _recurrence(den - c0, num, lambda lam, mu: -1, lambda lam: c0)
+    return _recurrence(den - c0, num, lambda mu: -1, 0, c0)
 
 
 def exp_series(f: FracSeries) -> FracSeries:
@@ -531,17 +708,15 @@ def exp_series(f: FracSeries) -> FracSeries:
     lambda g_l = sum mu f_mu g_{l-mu}, g_0 = 1."""
     if f.constant_term != 0:
         raise DomainError("exp_series needs a series of positive order")
-    return _recurrence(
-        f, FracSeries.one(f.cutoff), lambda lam, mu: mu, lambda lam: lam or 1
-    )
+    return _recurrence(f, FracSeries.one(f.cutoff), lambda mu: mu, 0)
 
 
 def log1p_series(f: FracSeries) -> FracSeries:
     """log(1 + f) for ord f > 0: x L' (1 + f) = x f' gives
-    lambda L_l = lambda f_l + sum f_mu (mu - lambda) L_{l-mu}."""
+    lambda L_l = lambda f_l - sum f_mu (lambda - mu) L_{l-mu}."""
     if f.constant_term != 0:
         raise DomainError("log1p_series needs a series of positive order")
-    return _recurrence(f, f.xderive(), lambda lam, mu: mu - lam, lambda lam: lam)
+    return _recurrence(f, f.xderive(), lambda mu: 0, -1)
 
 
 def pow_alpha(f: FracSeries, alpha) -> FracSeries:
@@ -554,13 +729,8 @@ def pow_alpha(f: FracSeries, alpha) -> FracSeries:
         raise DomainError("pow_alpha needs constant term exactly 1")
     alpha = Fraction(alpha)
     # x g' * (1+h) = alpha g * x h'  gives
-    # lambda g_l = sum_mu h_mu (alpha mu - lambda + mu) g_{l-mu}
-    return _recurrence(
-        f - 1,
-        FracSeries.one(f.cutoff),
-        lambda lam, mu: alpha * mu - lam + mu,
-        lambda lam: lam or 1,
-    )
+    # lambda g_l = sum_mu h_mu (alpha mu - (lambda - mu)) g_{l-mu}
+    return _recurrence(f - 1, FracSeries.one(f.cutoff), lambda mu: alpha * mu, -1)
 
 
 def product_truncated(factors, cutoff=None) -> FracSeries:
@@ -598,25 +768,27 @@ def recover_product_exponents(f: FracSeries, max_n: int) -> dict[int, Fraction]:
         raise DomainError(f"max_n must be >= 1, got {max_n}")
     if f.cutoff < max_n:
         raise UsageError(f"cutoff {f.cutoff} cannot resolve exponents up to {max_n}")
-    for e, _ in f.items():
-        if e.denominator != 1 and e <= max_n:
+    den = f._den
+    for k in f._coeffs:
+        if k % den and k <= max_n * den:
             raise DomainError(
-                f"fractional exponent {e} below {max_n}: not a product of (1-x^n)"
+                f"fractional exponent {Fraction(k, den)} below {max_n}: "
+                "not a product of (1-x^n)"
             )
-    work = dict(f.log_derivative()._terms)
+    ld = f.log_derivative()
+    work = dict(ld._coeffs)
+    top = _top(ld.cutoff, ld._den)
     out: dict[int, Fraction] = {}
     for n in range(1, max_n + 1):
-        c = work.get(Fraction(n))
+        step = n * ld._den
+        c = work.get(step)
         if not c:
             continue
-        a_n = -c / n
-        out[n] = a_n
-        k = Fraction(n)
-        while k <= f.cutoff:
-            prev = work.get(k, Fraction(0)) + a_n * n
+        out[n] = -c / n
+        for k in range(step, top + 1, step):
+            prev = work.get(k, 0) - c
             if prev:
                 work[k] = prev
             else:
                 work.pop(k, None)
-            k += n
     return out

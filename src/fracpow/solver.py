@@ -51,7 +51,7 @@ from .arith import (
     ord_p,
 )
 from .cyclotomic import CycloProduct, IntPolynomial, nprime_cyclotomic_part
-from .errors import DomainError, HypothesisError, UsageError
+from .errors import DomainError, HypothesisError, InternalError, UsageError
 from .series import FracSeries, exp_series, log1p_series, onemx_product
 
 EVIDENCE_CUTOFF = Fraction(4)
@@ -140,7 +140,7 @@ def solve_formal(m: MSpec, rhs: RhsSpec, cutoff, seed: FracSeries | None = None)
         if nxt == L:
             return exp_series(L)
         L = nxt
-    raise AssertionError("contraction failed to stabilize within its bound")
+    raise InternalError("contraction failed to stabilize within its bound")
 
 
 def _round_limit(theta_min: Fraction, b: int, T: Fraction) -> int:
@@ -454,7 +454,7 @@ def decide(m: MSpec, p_poly: IntPolynomial | None = None) -> DecisionReport:
     mexps = {}
     for d, v in onemx.exps:
         if v.denominator != 1:
-            raise AssertionError("integer polynomial produced fractional exponents")
+            raise InternalError("integer polynomial produced fractional exponents")
         mexps[d] = v.numerator
     bound = almost_rational_bound(m, mexps, witness)
     samples = []

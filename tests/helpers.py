@@ -1,6 +1,7 @@
 """Shared test utilities: random generators and independent oracles.
 
 The oracles here deliberately avoid the library's own code paths:
+series products by a double loop over Fraction exponents,
 representation counts by nested recursion over tuple slots, the
 product-exponent sum by recursion over ordered index tuples, the tau
 coefficients by plain integer-list polynomial expansion, divisor sums
@@ -8,6 +9,7 @@ for the Moebius round trip, and a rational-coefficient polynomial gcd
 for root-freeness checks.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -48,6 +50,36 @@ def rand_unit_series(rng, cutoff, exponents, max_terms=6) -> FracSeries:
     return f + FracSeries.one(Fraction(cutoff)) - FracSeries.constant(
         Fraction(cutoff), f.coefficient(0)
     )
+
+
+def schoolbook_product(f: FracSeries, g: FracSeries) -> FracSeries:
+    """f * g by the Fraction-keyed double loop over the public terms,
+    truncated at the shared cutoff: the product oracle."""
+    T = f.cutoff
+    a, b = f.items(), g.items()
+    out: dict[Fraction, Fraction] = {}
+    for ea, ca in a:
+        room = T - ea
+        for eb, cb in b:
+            if eb > room:
+                break
+            e = ea + eb
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return FracSeries(T, out)
+
+
+def on_base_grid(f: FracSeries, b: int) -> bool:
+    """True iff every exponent denominator of f divides some power of b
+    (the admissible-exponent grid of a base-b lattice)."""
+    for e, _ in f.items():
+        den = e.denominator
+        while den != 1:
+            g = math.gcd(den, b)
+            if g == 1:
+                return False
+            while den % g == 0:
+                den //= g
+    return True
 
 
 def brute_force_counts(m: MSpec, elements, upto: int) -> list[int]:

@@ -3,10 +3,12 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 
 import pytest
 
 from fracpow.cli import main
+from fracpow.cyclotomic import CycloProduct
 from helpers import tau_oracle
 
 
@@ -127,6 +129,34 @@ def test_error_exit_codes():
     ):
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "domain"
+
+
+SOLVE_ARGV = ["solve", "--m", "2:1,3:1", "--cutoff", "2"]
+
+
+def _fractional_onemx(self):
+    return CycloProduct.make("onemx", {1: F(1, 2)})
+
+
+@pytest.mark.parametrize(
+    "target, replacement, argv",
+    [
+        ("fracpow.cli.verify_solution", lambda *args: False, SOLVE_ARGV),
+        ("fracpow.solver._round_limit", lambda *args: 0, SOLVE_ARGV),
+        (
+            "fracpow.cyclotomic.CycloProduct.to_onemx",
+            _fractional_onemx,
+            ["decide", "--m", "2:1,3:1"],
+        ),
+    ],
+    ids=["residual", "contraction", "onemx-exponent"],
+)
+def test_failed_self_checks_are_internal_errors(monkeypatch, target, replacement, argv):
+    # each self-check path prints one JSON error object and exits 1
+    monkeypatch.setattr(target, replacement)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["kind"] == "internal"
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from fracpow import (
     verify_solution,
 )
 from fracpow.arith import in_nprime, in_qbprime_off_nprime
-from helpers import brute_force_alternating_sum
+from helpers import brute_force_alternating_sum, on_base_grid
 
 M23 = MSpec(((2, 1), (3, 1)))
 M24 = MSpec(((2, 1), (4, 1)))
@@ -406,8 +406,8 @@ def test_decide_certificate_soundness_random():
 
 def test_solution_exponents_on_base_grid():
     f = solve_formal(M23, RHS_GEOMETRIC, 6)
-    assert f.exponents_on_base_grid(M23.b)
-    assert not f.exponents_on_base_grid(3)
+    assert on_base_grid(f, M23.b)
+    assert not on_base_grid(f, 3)
 
 
 def _random_instance(rng):
