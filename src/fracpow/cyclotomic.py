@@ -44,7 +44,7 @@ from .arith import (
     mobius,
     parse_rational,
 )
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .series import (
     FracSeries,
     one_minus_x_power,
@@ -152,12 +152,6 @@ class IntPolynomial:
                 rem[i - dd + j] -= q * cb
         return IntPolynomial(quo), IntPolynomial(rem)
 
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        quo, rem = self.divmod(other)
-        if not rem.is_zero:
-            raise DomainError("division is not exact")
-        return quo
-
     def substitute_power(self, a: int) -> "IntPolynomial":
         """x -> x^a (inflation by a positive integer)."""
         if a < 1:
@@ -221,7 +215,8 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
     deg = euler_phi(n)
     factors = [(d, mobius(n // d)) for d in divisors(n)]
     poly = IntPolynomial(onemx_coefficients(deg, factors))
-    assert poly.degree == deg
+    if poly.degree != deg:
+        raise InternalError(f"Phi_{n} has degree {poly.degree}, not euler_phi = {deg}")
     return poly
 
 
@@ -308,15 +303,6 @@ class CycloProduct:
             "exps": [[d, format_rational(v)] for d, v in self.exps],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CycloProduct":
-        try:
-            return cls.make(
-                data["basis"], {int(d): parse_rational(v) for d, v in data["exps"]}
-            )
-        except (KeyError, TypeError, ValueError):
-            raise DomainError("malformed cyclotomic product JSON")
-
 
 def onemxn_factor(n: int) -> CycloProduct:
     """1 - x^n = prod_{d | n} Phi_d, as a phi-basis product."""
@@ -361,7 +347,8 @@ def substitute_cyclo(g: CycloProduct, a: int) -> CycloProduct:
     out: dict[int, Fraction] = {}
     for d, h in g.exps:
         for f, _ in expand_phi_power(d, a).exps:
-            assert bracket(Fraction(f, a)) == d
+            if bracket(Fraction(f, a)) != d:
+                raise InternalError(f"bracket({f}/{a}) is not {d}")
             out[f] = out.get(f, Fraction(0)) + h
     return CycloProduct.make("phi", out)
 
@@ -384,10 +371,6 @@ def content(p: IntPolynomial) -> Fraction:
     den = math.lcm(*(c.denominator for c in p.coeffs))
     num = math.gcd(*(c.numerator * (den // c.denominator) for c in p.coeffs))
     return Fraction(num, den)
-
-
-def primitive_part(p: IntPolynomial) -> IntPolynomial:
-    return p * (Fraction(1) / content(p))
 
 
 def phi_multiplicity_split(p: IntPolynomial, m: MSpec):

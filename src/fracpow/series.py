@@ -44,22 +44,9 @@ binary operation first rewrites both operands over lcm(D_f, D_g);
 and recover_product_exponents then work on integer keys alone.
 
 Product.  f * g scales each operand to integers over its own lcm
-coefficient denominator and shifts it down by its least key.  Then one
-of two kernels sums the integer products below the cutoff index
-N = floor(T D):
-
-    Kronecker  pack each operand into one int, one coefficient per
-               byte-aligned slot of bits(max|A|) + bits(max|B|) +
-               bits(min(|f|, |g|)) + 2 bits; one bigint multiply; read
-               the low slots back with byte slices and a signed carry
-               (Harvey, JSC 2009)
-    schoolbook the double loop over the pairs below N
-
-Kronecker runs when slots + (slots * slot_bits)^1.25 / 72 is below the
-count of pairs under N: reading a slot back costs about one pair, and
-CPython's bigint multiply grows about as the 1.25 power of its size.
-One-term operands and grids made sparse by many primes in D (N = T D
-slots for few terms) take the schoolbook loop.
+coefficient denominator.  The schoolbook loop then sums the integer
+products of the pairs up to the cutoff index N = floor(T D), and each
+sum becomes one Fraction again.
 
 Division, exp, log1p and pow_alpha each solve a triangular recurrence
 over ascending exponents, and all four run on one engine,
@@ -340,9 +327,8 @@ class FracSeries:
         if other is None:
             return NotImplemented
         den = math.lcm(self._den, other._den)
-        a = self._keys_over(den)
-        b = a if other is self else other._keys_over(den)
-        return FracSeries._grid(self.cutoff, den, _product(a, b, _top(self.cutoff, den)))
+        product = _product(self._keys_over(den), other._keys_over(den), _top(self.cutoff, den))
+        return FracSeries._grid(self.cutoff, den, product)
 
     __rmul__ = __mul__
 
@@ -436,65 +422,30 @@ def _top(cutoff: Fraction, den: int) -> int:
     return cutoff.numerator * den // cutoff.denominator
 
 
-# Cost of one Kronecker product, in schoolbook pairs: the unpack pass
-# costs about one pair per slot, and CPython's multiply of two
-# bits-bit integers about bits^1.25 / 72 pairs (fitted over 15 kbit to
-# 4 Mbit products, Python 3.11).
-KRONECKER_PAIRS_PER_BIT_POWER = 72
-
-
 def _product(a: dict, b: dict, top: int) -> dict:
     """{k: c} of the product of two grid maps (ascending keys, Fraction
     coefficients) over one denominator, up to grid index top.
 
     Both operands become integers over their lcm coefficient
-    denominator, shifted down by their least key.  Kronecker
-    substitution packs them into slots of slot_bits = 8 *
-    ceil((bits(max|A|) + bits(max|B|) + bits(min(|a|, |b|)) + 2) / 8)
-    bits; it runs when slots + (slots * slot_bits)^1.25 / 72 is below
-    the schoolbook loop's count of pairs under the cutoff.
+    denominator; the schoolbook loop sums their integer products up to
+    top, and each sum is read back as one Fraction over the product of
+    the two lcms.
     """
     if not a or not b:
         return {}
     a0, b0 = next(iter(a)), next(iter(b))
-    room = top - a0 - b0
-    if room < 0:
+    if a0 + b0 > top:
         return {}
-    ia, la = _scaled(a, a0, room)
-    ib, lb = (ia, la) if a is b else _scaled(b, b0, room)
-    slots = min(room, ia[-1][0] + ib[-1][0]) + 1
-    sb = (
-        max(abs(c) for _, c in ia).bit_length()
-        + max(abs(c) for _, c in ib).bit_length()
-        + min(len(ia), len(ib)).bit_length()
-        + 9
-    ) // 8
-    bits = slots * sb * 8
-    pairs = _pair_count(ia, ib, room)
-    if bits * math.isqrt(math.isqrt(bits)) < KRONECKER_PAIRS_PER_BIT_POWER * (pairs - slots):
-        out = _kronecker(ia, ib, slots, sb)
-    else:
-        out = _schoolbook(ia, ib, room)
+    ia, la = _scaled(a, top - b0)
+    ib, lb = _scaled(b, top - a0)
     den = la * lb
-    shift = a0 + b0
-    return {shift + k: Fraction(v, den) for k, v in out.items() if v}
+    return {k: Fraction(v, den) for k, v in _schoolbook(ia, ib, top).items() if v}
 
 
-def _pair_count(a: list, b: list, top: int) -> int:
-    """Number of pairs of keys of a and b (both ascending) summing to at
-    most top."""
-    count, j = 0, len(b)
-    for ka, _ in a:
-        while j and b[j - 1][0] > top - ka:
-            j -= 1
-        count += j
-    return count
-
-
-def _scaled(coeffs: dict, lo: int, room: int) -> tuple[list, int]:
-    """[(k - lo, c * L)] for the keys k <= lo + room, and L, the lcm of
-    their coefficient denominators."""
-    terms = [(k - lo, c) for k, c in coeffs.items() if k - lo <= room]
+def _scaled(coeffs: dict, top: int) -> tuple[list, int]:
+    """[(k, c * L)] for the keys k <= top, and L, the lcm of their
+    coefficient denominators."""
+    terms = [(k, c) for k, c in coeffs.items() if k <= top]
     lcm = math.lcm(*(c.denominator for _, c in terms))
     return [(k, c.numerator * (lcm // c.denominator)) for k, c in terms], lcm
 
@@ -512,49 +463,6 @@ def _schoolbook(a: list, b: list, top: int) -> dict:
                 break
             k = ka + kb
             out[k] = out.get(k, 0) + ca * cb
-    return out
-
-
-def _kronecker(a: list, b: list, slots: int, sb: int) -> dict:
-    """The same sums by one bigint multiply: each operand packed as
-    sum A 2^(8 sb k), the product read back slot by slot from its low
-    slots * sb bytes.  A slot holds a signed value, so a negative one
-    borrows 1 from the slot above it (the carry)."""
-    size = slots * sb
-    pa = _pack(a, sb, size)
-    product = pa * pa if a is b else pa * _pack(b, sb, size)
-    del pa
-    product &= (1 << (8 * size)) - 1
-    data = product.to_bytes(size, "little")
-    del product
-    half = 1 << (8 * sb - 1)
-    full = half << 1
-    out: dict[int, int] = {}
-    carry = 0
-    for k, i in enumerate(range(0, size, sb)):
-        v = int.from_bytes(data[i : i + sb], "little") + carry
-        if v >= half:
-            v -= full
-            carry = 1
-        else:
-            carry = 0
-        if v:
-            out[k] = v
-    return out
-
-
-def _pack(terms: list, sb: int, size: int) -> int:
-    """sum A 2^(8 sb k) over the (k, A) pairs: the positive part minus
-    the negative part, each read from byte slots of one buffer."""
-    out = 0
-    for sign in (1, -1):
-        part = [(k, sign * c) for k, c in terms if sign * c > 0]
-        if part:
-            buf = bytearray(size)
-            for k, c in part:
-                buf[k * sb : k * sb + sb] = c.to_bytes(sb, "little")
-            out += sign * int.from_bytes(buf, "little")
-            del buf
     return out
 
 

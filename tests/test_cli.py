@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from fracpow.cli import main
-from fracpow.cyclotomic import CycloProduct
+from fracpow.cyclotomic import CycloProduct, cyclotomic_poly
 from helpers import tau_oracle
 
 
@@ -148,11 +148,15 @@ def _fractional_onemx(self):
             _fractional_onemx,
             ["decide", "--m", "2:1,3:1"],
         ),
+        ("fracpow.cyclotomic.euler_phi", lambda n: n + 1, ["cyclo", "phi", "35"]),
     ],
-    ids=["residual", "contraction", "onemx-exponent"],
+    ids=["residual", "contraction", "onemx-exponent", "phi-degree"],
 )
 def test_failed_self_checks_are_internal_errors(monkeypatch, target, replacement, argv):
-    # each self-check path prints one JSON error object and exits 1
+    # each self-check path prints one JSON error object and exits 1;
+    # an earlier test may have cached Phi_35, and a failed call caches
+    # nothing
+    cyclotomic_poly.cache_clear()
     monkeypatch.setattr(target, replacement)
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")

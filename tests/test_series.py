@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,6 @@ from fracpow import (
     product_truncated,
     recover_product_exponents,
 )
-from fracpow import series
 from fracpow.cyclotomic import CycloProduct, IntPolynomial
 from fracpow.series import (
     Valuation,
@@ -74,6 +72,17 @@ def test_mul_examples():
     f = FracSeries(T, {0: 2, 1: -3, F(5, 2): F(1, 4)})
     assert f * FracSeries.one(T) == f
     assert (one_minus_x_power(T, 1) * geometric_inverse(T, 1)) == FracSeries.one(T)
+    # dense, dense plus one term, the six-prime grid D = 30030, one term
+    dense = FracSeries(T, {F(k, 2): F(k - 6, 3) for k in range(13)})
+    primes = FracSeries(20, {F(1, p): p for p in (2, 3, 5, 7, 11, 13)}) + 1
+    one_term = FracSeries.x_power(T, F(1, 2), -3)
+    for a, b in (
+        (dense, dense),
+        (dense, dense + one_term),
+        (primes, primes),
+        (one_term, dense),
+    ):
+        assert a * b == schoolbook_product(a, b)
 
 
 def test_ring_axioms():
@@ -456,35 +465,7 @@ def test_product_matches_schoolbook_oracle(data, cutoff):
     f = data.draw(grid_series(cutoff))
     g = data.draw(grid_series(cutoff))
     for a, b in ((f, g), (f, f)):
-        expected = schoolbook_product(a, b)
-        assert a * b == expected
-        # the other kernel on the same operands: 0 keeps every product
-        # on the schoolbook loop, a huge constant sends every product
-        # with more pairs than slots to Kronecker substitution
-        for constant in (0, 10**30):
-            with mock.patch.object(series, "KRONECKER_PAIRS_PER_BIT_POWER", constant):
-                assert a * b == expected
-
-
-def test_product_selection_sides(monkeypatch):
-    calls = []
-    for name in ("_kronecker", "_schoolbook"):
-        kernel = getattr(series, name)
-        monkeypatch.setattr(
-            series, name, lambda *args, k=kernel, n=name: calls.append(n) or k(*args)
-        )
-    dense = FracSeries(T, {F(k, 2): F(k - 6, 3) for k in range(13)})
-    primes = FracSeries(20, {F(1, p): p for p in (2, 3, 5, 7, 11, 13)}) + 1
-    one_term = FracSeries.x_power(T, F(1, 2), -3)
-    for f, g, kernel in (
-        (dense, dense, "_kronecker"),
-        (dense, dense + one_term, "_kronecker"),
-        (primes, primes, "_schoolbook"),
-        (one_term, dense, "_schoolbook"),
-    ):
-        calls.clear()
-        assert f * g == schoolbook_product(f, g)
-        assert calls == [kernel]
+        assert a * b == schoolbook_product(a, b)
 
 
 @settings(max_examples=100, deadline=None)
