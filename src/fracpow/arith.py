@@ -200,7 +200,9 @@ class MSpec:
     def __post_init__(self):
         if not self.pairs:
             raise DomainError("MSpec needs at least one (b, e) pair")
-        object.__setattr__(self, "pairs", tuple((int(b), int(e)) for b, e in self.pairs))
+        pairs = tuple((as_integer(b, "form coefficient"), as_integer(e, "form multiplicity"))
+                      for b, e in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
         prev = 0
         for b, e in self.pairs:
             if b <= prev:
@@ -220,9 +222,6 @@ class MSpec:
             except ValueError:
                 raise DomainError(f"bad form spec chunk {chunk!r}; expected 'b:e'")
         return cls(tuple(pairs))
-
-    def format(self) -> str:
-        return ",".join(f"{b}:{e}" for b, e in self.pairs)
 
     @property
     def b(self) -> int:
@@ -331,3 +330,14 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"bad rational literal {text!r}")
+
+
+def as_integer(value, what: str) -> int:
+    """value as an int, or a DomainError naming `what` when value is not
+    an exact integer (5/2 and 1.7 are refused, not truncated)."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    if q.denominator != 1:
+        raise DomainError(f"{what} must be an integer, got {format_rational(q)}")
+    return q.numerator

@@ -36,9 +36,9 @@ from .cyclotomic import (
     expand_phi_power,
     nprime_cyclotomic_part,
 )
-from .errors import DomainError, FracpowError, InternalError, UsageError
+from .errors import CapacityError, DomainError, FracpowError, InternalError, UsageError
 from .lattice import LatticeSpec, enumerate_below
-from .series import onemx_coefficients
+from .series import MAX_LIST_LEN, onemx_coefficients
 from .solver import RhsSpec, decide, solve_formal, verify_solution
 
 
@@ -197,6 +197,8 @@ def _cmd_tau(args) -> int:
     n = args.upto
     if n < 1:
         raise UsageError(f"--upto must be >= 1, got {n}")
+    if n > MAX_LIST_LEN:
+        raise CapacityError(f"tau up to {n} needs more than {MAX_LIST_LEN} entries")
     # tau(k) is the coefficient of q^{k-1} in prod (1 - q^j)^24
     coeffs = onemx_coefficients(n - 1, [(j, 24) for j in range(1, n)])
     values = list(enumerate(coeffs, 1))

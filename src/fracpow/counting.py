@@ -7,9 +7,10 @@ r_M(n, A) counts ordered tuples (a_{i,j}) in A with
 
 r_M(n, A) is the coefficient of x^n in prod f_A(x^{b_i})^{e_i}, with
 f_A(x) = sum_{a in A} x^a, expanded on one integer list truncated at
-the requested bound by series.times_sparse, the kernel behind the
-(1 - x^d) products.  generating_check recomputes it in FracSeries
-arithmetic as an independent cross-check.
+the requested bound by series.times_sparse, the kernel behind every
+product in the package.  generating_check recomputes it in FracSeries
+arithmetic, which runs the same kernel over sparse grid keys; the
+independent oracle is the brute-force tuple count of the tests.
 
 Working with a bounded prefix of an infinite set is sound below the
 *safe bound* b_0 * X: a representation touching an omitted element
@@ -25,9 +26,9 @@ by the period, e.g. base 2 / period 2 pairs with the form a + 2a'.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import MSpec
-from .errors import DomainError, UsageError
-from .series import FracSeries, times_sparse
+from .arith import MSpec, as_integer
+from .errors import CapacityError, DomainError, UsageError
+from .series import MAX_LIST_LEN, FracSeries, times_sparse
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,18 @@ class BoundedSet:
     bound: int
 
     def __post_init__(self):
-        if self.bound < 0:
-            raise DomainError(f"bound must be >= 0, got {self.bound}")
-        elems = tuple(sorted(set(int(a) for a in self.elements)))
+        bound = as_integer(self.bound, "set bound")
+        if bound < 0:
+            raise DomainError(f"bound must be >= 0, got {bound}")
+        elems = tuple(sorted(set(as_integer(a, "set element") for a in self.elements)))
         if elems and elems[0] < 0:
             raise DomainError("set elements must be non-negative")
-        if elems and elems[-1] > self.bound:
+        if elems and elems[-1] > bound:
             raise DomainError(
-                f"element {elems[-1]} exceeds the declared bound {self.bound}"
+                f"element {elems[-1]} exceeds the declared bound {bound}"
             )
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "bound", bound)
 
 
 def build_digit_set(k: int, period: int, bound: int) -> BoundedSet:
@@ -80,9 +83,12 @@ def representation_counts(m: MSpec, elements, upto: int) -> list[int]:
     """r_M(n) for n = 0..upto over the given finite list of non-negative
     elements: the coefficients of prod f_A(x^{b_i})^{e_i}, one
     series.times_sparse call per multiplicity slot, with the shifts
-    b_i * a <= upto as unit terms."""
+    b_i * a <= upto as unit terms.  More than series.MAX_LIST_LEN
+    entries is a CapacityError."""
     if upto < 0:
         raise DomainError(f"upto must be >= 0, got {upto}")
+    if upto >= MAX_LIST_LEN:
+        raise CapacityError(f"counts up to {upto} need more than {MAX_LIST_LEN} entries")
     elems = sorted(set(elements))
     if elems and elems[0] < 0:
         raise DomainError(f"set elements must be non-negative, got {elems[0]}")
@@ -90,7 +96,7 @@ def representation_counts(m: MSpec, elements, upto: int) -> list[int]:
     for b_i, e_i in m.pairs:
         terms = [(b_i * a, 1) for a in elems if b_i * a <= upto]
         for _ in range(e_i):
-            counts = times_sparse(counts, terms)
+            counts = times_sparse(enumerate(counts), terms, upto, [0] * (upto + 1))
     return counts
 
 
@@ -147,8 +153,14 @@ def constancy_scan(m: MSpec, bounded: BoundedSet, upto: int) -> CountReport:
 
 
 def generating_check(m: MSpec, bounded: BoundedSet, cutoff: int) -> bool:
-    """Cross-check the convolution counts against the series product
-    prod f_A(x^{b_i})^{e_i} computed in exact series arithmetic."""
+    """Cross-check the list counts against the series product
+    prod f_A(x^{b_i})^{e_i} computed in exact series arithmetic.
+
+    Both paths run series.times_sparse, so this checks the grid path
+    (scaling, grid keys, Fraction read-back) against the list path, not
+    the kernel itself; tests/helpers.brute_force_counts is the
+    independent oracle.
+    """
     if cutoff > m.b * bounded.bound:
         raise UsageError(
             f"cutoff {cutoff} exceeds the safe bound {m.b * bounded.bound}"

@@ -36,6 +36,7 @@ from functools import lru_cache
 from .arith import (
     MSpec,
     angle,
+    as_integer,
     bracket,
     divisors,
     euler_phi,
@@ -127,8 +128,9 @@ class IntPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return IntPolynomial([c * other for c in self.coeffs])
-        padded = list(self.coeffs) + [0] * (len(other.coeffs) - 1)
-        return IntPolynomial(times_sparse(padded, list(enumerate(other.coeffs))))
+        top = self.degree + other.degree
+        terms = list(enumerate(other.coeffs))
+        return IntPolynomial(times_sparse(enumerate(self.coeffs), terms, top, [0] * (top + 1)))
 
     __rmul__ = __mul__
 
@@ -233,11 +235,12 @@ class CycloProduct:
             raise DomainError(f"unknown basis {self.basis!r}")
         cleaned = {}
         for d, value in dict(self.exps).items():
+            d = as_integer(d, "order")
             if d < 1:
                 raise DomainError(f"order must be positive, got {d}")
             value = Fraction(value)
             if value:
-                cleaned[int(d)] = value
+                cleaned[d] = value
         object.__setattr__(self, "exps", tuple(sorted(cleaned.items())))
 
     @classmethod

@@ -36,7 +36,8 @@ class HypothesisError(FracpowError):
 
 
 class CapacityError(FracpowError):
-    """Input needs factorizations beyond the configured sieve limit."""
+    """Input needs factorizations beyond the configured sieve limit, or
+    a coefficient list longer than series.MAX_LIST_LEN."""
 
     kind = "capacity"
 

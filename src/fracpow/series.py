@@ -24,10 +24,9 @@ Supported operations:
                           P(x) prod (1 - x^d)^v for integer d, v: the
                           one expander of integer-exponent products,
                           exact binomial weights on an integer list
-    times_sparse          list * sum w x^s, truncated: the one list
-                          convolution (onemx_coefficients, counting,
-                          IntPolynomial multiplication)
-    product_truncated     finite product of factors 1 + h, ord h > 0
+    times_sparse          sum c x^i * sum w x^s up to x^top: the one
+                          convolution loop (FracSeries *, counting,
+                          onemx_coefficients, IntPolynomial *)
     recover_product_exponents
                           unique exponents a_n with
                           f = prod (1 - x^n)^{a_n} below the cutoff
@@ -43,10 +42,13 @@ binary operation first rewrites both operands over lcm(D_f, D_g);
 +, -, truncate, substitute_power (k/D -> k p / (D q) for x -> x^(p/q))
 and recover_product_exponents then work on integer keys alone.
 
-Product.  f * g scales each operand to integers over its own lcm
-coefficient denominator.  The schoolbook loop then sums the integer
-products of the pairs up to the cutoff index N = floor(T D), and each
-sum becomes one Fraction again.
+Product.  Every product in the package runs through times_sparse, one
+schoolbook loop over (index, coefficient) pairs that adds into a list
+(dense indices) or a defaultdict(int) (sparse grid keys).  f * g
+scales each operand to integers over its own lcm coefficient
+denominator, sums the integer products of the pairs up to the cutoff
+index N = floor(T D) in a defaultdict, and turns each sum into one
+Fraction again.
 
 Division, exp, log1p and pow_alpha each solve a triangular recurrence
 over ascending exponents, and all four run on one engine,
@@ -75,11 +77,15 @@ rescales it.
 import heapq
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import format_rational
-from .errors import DomainError, NotInvertibleError, UsageError
+from .arith import as_integer, format_rational
+from .errors import CapacityError, DomainError, NotInvertibleError, UsageError
+
+# the longest coefficient list a dense expansion may build
+MAX_LIST_LEN = 10**7
 
 
 @dataclass(frozen=True)
@@ -137,15 +143,6 @@ class Valuation:
 
     def __le__(self, other: "Valuation") -> bool:
         return self == other or self < other
-
-    def as_fraction(self) -> Fraction:
-        """The value as an exact rational; needs an integer exponent."""
-        if self.exponent is None:
-            return Fraction(0)
-        if self.exponent.denominator != 1:
-            raise DomainError(f"(1/2)^{self.exponent} is irrational")
-        e = self.exponent.numerator
-        return Fraction(1, 2**e) if e >= 0 else Fraction(2**-e)
 
     def __repr__(self):
         return "Valuation(0)" if self.exponent is None else f"Valuation((1/2)^{self.exponent})"
@@ -427,9 +424,9 @@ def _product(a: dict, b: dict, top: int) -> dict:
     coefficients) over one denominator, up to grid index top.
 
     Both operands become integers over their lcm coefficient
-    denominator; the schoolbook loop sums their integer products up to
-    top, and each sum is read back as one Fraction over the product of
-    the two lcms.
+    denominator; times_sparse sums their integer products up to top,
+    the shorter operand outside, and each sum is read back as one
+    Fraction over the product of the two lcms.
     """
     if not a or not b:
         return {}
@@ -438,8 +435,11 @@ def _product(a: dict, b: dict, top: int) -> dict:
         return {}
     ia, la = _scaled(a, top - b0)
     ib, lb = _scaled(b, top - a0)
+    if len(ia) > len(ib):
+        ia, ib = ib, ia
     den = la * lb
-    return {k: Fraction(v, den) for k, v in _schoolbook(ia, ib, top).items() if v}
+    sums = times_sparse(ia, ib, top, defaultdict(int))
+    return {k: Fraction(v, den) for k, v in sums.items() if v}
 
 
 def _scaled(coeffs: dict, top: int) -> tuple[list, int]:
@@ -448,22 +448,6 @@ def _scaled(coeffs: dict, top: int) -> tuple[list, int]:
     terms = [(k, c) for k, c in coeffs.items() if k <= top]
     lcm = math.lcm(*(c.denominator for _, c in terms))
     return [(k, c.numerator * (lcm // c.denominator)) for k, c in terms], lcm
-
-
-def _schoolbook(a: list, b: list, top: int) -> dict:
-    """Integer products of the (k, A) pairs of a and b, summed per key
-    up to top; b ascending."""
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict[int, int] = {}
-    for ka, ca in a:
-        room = top - ka
-        for kb, cb in b:
-            if kb > room:
-                break
-            k = ka + kb
-            out[k] = out.get(k, 0) + ca * cb
-    return out
 
 
 def one_minus_x_power(cutoff, d) -> FracSeries:
@@ -493,7 +477,11 @@ def onemx_coefficients(n: int, factors, poly=(1,)) -> list[int]:
     C(|v|+j-1, j) for v < 0, so at most n/d + 1 terms whatever |v| is.
     For v < 0 with |v| <= n/d, |v| prefix sums mod d replace the call.
     Factors with v > 0 run first, largest d first, while coeffs is sparse.
+    d and v must be exact integers (DomainError), and more than
+    MAX_LIST_LEN coefficients is a CapacityError.
     """
+    if n >= MAX_LIST_LEN:
+        raise CapacityError(f"coefficients up to x^{n} need more than {MAX_LIST_LEN} entries")
     coeffs = [0] * (n + 1)
     for i, c in enumerate(poly[: n + 1]):
         c = Fraction(c)
@@ -501,9 +489,10 @@ def onemx_coefficients(n: int, factors, poly=(1,)) -> list[int]:
             raise DomainError(f"polynomial coefficient {c} is not an integer")
         coeffs[i] = c.numerator
     for d, v in sorted(factors, key=lambda f: (f[1] < 0, -f[0])):
-        if d != math.floor(d) or d < 1:
+        d = as_integer(d, "factor order")
+        if d < 1:
             raise DomainError(f"factor order must be a positive integer, got {d}")
-        d = int(d)
+        v = as_integer(v, "factor exponent")
         if v < 0 and -v <= n // d:
             for _ in range(-v):
                 for r in range(d):
@@ -516,22 +505,25 @@ def onemx_coefficients(n: int, factors, poly=(1,)) -> list[int]:
             if not w:
                 break
             terms.append((j * d, w))
-        coeffs = times_sparse(coeffs, terms)
+        coeffs = times_sparse(enumerate(coeffs), terms, n, [0] * (n + 1))
     return coeffs
 
 
-def times_sparse(coeffs: list, terms) -> list:
-    """coeffs * sum w x^s over the (s, w) pairs of `terms`, s >= 0
-    ascending, truncated to len(coeffs).  One pass over the nonzero
-    entries of coeffs (ints or Fractions), each stopping at the first
-    shift past the end."""
-    n = len(coeffs)
-    out = [0] * n
-    for i, c in enumerate(coeffs):
+def times_sparse(pairs, terms, top: int, out):
+    """The one convolution loop: for every nonzero (i, c) of `pairs`
+    and every (s, w) of `terms` (s ascending) with i + s <= top, add
+    c * w to out[i + s]; returns out.
+
+    out is a list of length top + 1 for dense indices (counts, the
+    (1 - x^d) products, IntPolynomial *) or a defaultdict(int) for the
+    sparse grid keys of FracSeries *.  Each pass over terms stops at
+    the first shift past top.
+    """
+    for i, c in pairs:
         if c:
-            room = n - i
+            room = top - i
             for s, w in terms:
-                if s >= room:
+                if s > room:
                     break
                 out[i + s] += c * w
     return out
@@ -639,27 +631,6 @@ def pow_alpha(f: FracSeries, alpha) -> FracSeries:
     # x g' * (1+h) = alpha g * x h'  gives
     # lambda g_l = sum_mu h_mu (alpha mu - (lambda - mu)) g_{l-mu}
     return _recurrence(f - 1, FracSeries.one(f.cutoff), lambda mu: alpha * mu, -1)
-
-
-def product_truncated(factors, cutoff=None) -> FracSeries:
-    """Exact truncated product of finitely many factors 1 + h, ord h > 0.
-
-    The caller supplies exactly the factors whose h has order <= the
-    cutoff; omitted higher-order factors cannot affect the truncation.
-    """
-    factors = list(factors)
-    if not factors:
-        if cutoff is None:
-            raise UsageError("empty product needs an explicit cutoff")
-        return FracSeries.one(cutoff)
-    if cutoff is not None and Fraction(cutoff) != factors[0].cutoff:
-        raise UsageError("cutoff argument disagrees with factor cutoffs")
-    out = FracSeries.one(factors[0].cutoff)
-    for f in factors:
-        if f.constant_term != 1:
-            raise DomainError("every product factor must have constant term 1")
-        out = out * f
-    return out
 
 
 def recover_product_exponents(f: FracSeries, max_n: int) -> dict[int, Fraction]:

@@ -43,6 +43,7 @@ from fractions import Fraction
 
 from .arith import (
     MSpec,
+    as_integer,
     factorize,
     format_rational,
     in_nprime,
@@ -82,8 +83,8 @@ class RhsSpec:
     def onemx_product(cls, exponents: dict) -> "RhsSpec":
         cleaned = []
         for d, v in sorted(exponents.items()):
-            d = int(d)
-            v = int(v)
+            d = as_integer(d, "factor order")
+            v = as_integer(v, "factor exponent")
             if d < 1:
                 raise DomainError(f"factor order must be positive, got {d}")
             if v:
@@ -201,10 +202,10 @@ def _alternating_sum(m: MSpec, mexps: dict[int, int], start: Fraction) -> Fracti
 def _check_mexps(mexps: dict, m: MSpec) -> dict[int, int]:
     out = {}
     for d, v in mexps.items():
-        d = int(d)
+        d = as_integer(d, "exponent order")
         if d < 1 or not in_nprime(d, m):
             raise DomainError(f"exponent order {d} lies outside N'")
-        v = int(v)
+        v = as_integer(v, "exponent")
         if v:
             out[d] = v
     return out

@@ -153,11 +153,13 @@ def test_mspec_validation():
         MSpec(((2, 0),))
     with pytest.raises(DomainError):
         MSpec(())
+    with pytest.raises(DomainError):
+        MSpec(((F(5, 2), 1), (3, F(3, 2))))
+    assert MSpec(((F(2), 1), (3, F(2)))).pairs == ((2, 1), (3, 2))
     m = MSpec.parse("2:1,3:2")
     assert m.pairs == ((2, 1), (3, 2))
     assert m.thetas == (F(3, 2),)
     assert m.nus == (F(2),)
-    assert m.format() == "2:1,3:2"
     assert m.coefficient_product == 6
     assert m.coefficient_gcd == 1
 

@@ -131,6 +131,28 @@ def test_error_exit_codes():
         assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "domain"
 
 
+def test_oversized_lists_are_capacity_errors(tmp_path, monkeypatch):
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"# bound={10**30}\n0\n1\n")
+    for argv in (
+        ["solve", "--m", "2:1", "--cutoff", "1e30"],
+        ["count", "--m", "1:1", "--set", str(huge), "--upto", str(10**20)],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["kind"] == "capacity"
+    # tau builds one factor per order before it expands anything, so it
+    # checks the cap itself; a lowered cap shows that check with short
+    # lists before the real cap is tried
+    monkeypatch.setattr("fracpow.cli.MAX_LIST_LEN", 50)
+    assert run_cli(["tau", "--upto", "50"])[0] == 0
+    code, out, err = run_cli(["tau", "--upto", "51"])
+    assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "capacity"
+    monkeypatch.undo()
+    code, out, err = run_cli(["tau", "--upto", str(10**20)])
+    assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "capacity"
+
+
 SOLVE_ARGV = ["solve", "--m", "2:1,3:1", "--cutoff", "2"]
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -183,5 +184,9 @@ def test_set_file_round_trip():
 def test_bounded_set_validation():
     with pytest.raises(DomainError):
         BoundedSet((0, 10), 5)
+    for elements, bound in (((F(5, 2), 1.7), 3), ((0, 2), F(7, 2))):
+        with pytest.raises(DomainError):
+            BoundedSet(elements, bound)
+    assert BoundedSet((F(2), 1.0), F(3)) == BoundedSet((1, 2), 3)
     with pytest.raises(DomainError):
         BoundedSet((-1, 2), 5)

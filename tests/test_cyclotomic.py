@@ -253,6 +253,12 @@ def test_basis_conversions():
     assert p.to_onemx().expand_series(cutoff) == p.expand_series(cutoff)
 
 
+def test_cyclo_product_orders_are_integers():
+    with pytest.raises(DomainError):
+        CycloProduct.make("phi", {F(5, 2): 1})
+    assert CycloProduct.make("phi", {F(2): 1}) == CycloProduct.make("phi", {2: 1})
+
+
 def test_cyclo_product_json():
     p = CycloProduct.make("phi", {3: F(1, 2), 1: F(-1)})
     data = p.to_json_dict()

@@ -42,6 +42,8 @@ def test_rhs_validation():
         RhsSpec.poly_over_1mx(IntPolynomial([1, -1]))
     with pytest.raises(DomainError):
         RhsSpec.onemx_product({0: 1})
+    with pytest.raises(DomainError):
+        RhsSpec.onemx_product({2: F(1, 2)})
     assert RhsSpec.onemx_product({2: 0}).factors == ()
 
 
@@ -148,6 +150,9 @@ def test_obstruction_detects_unsolvable():
 def test_product_exponent_zero_map():
     assert product_exponent(M23, {}, 5) == 0
     assert product_exponent(M23, {}, F(7, 2)) == 0
+    for mexps in ({F(5, 2): 1}, {2: F(1, 2)}):
+        with pytest.raises(DomainError):
+            product_exponent(M23, mexps, 1)
 
 
 def test_product_exponent_ruzsa_pattern():
