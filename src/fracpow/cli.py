@@ -15,6 +15,11 @@ is deterministic JSON (rationals as strings) or plain text.  Exit
 codes: 0 success, 1 domain/hypothesis error or failed self-check
 (kind "internal"), 2 usage error; errors are reported as one JSON
 object on stderr.
+
+Flag values are parsed by argparse type= converters, so a malformed
+value is a usage error that reads "fracpow <cmd>: argument --flag:
+<reason>".  A well-formed value that the library refuses afterwards
+(such as --rhs-poly 1,1/2, not integral) is a domain error.
 """
 
 import argparse
@@ -42,28 +47,29 @@ from .series import MAX_LIST_LEN, onemx_coefficients
 from .solver import RhsSpec, decide, solve_formal, verify_solution
 
 
-def _parse_mspec(text: str) -> MSpec:
-    try:
-        return MSpec.parse(text)
-    except DomainError as ex:
-        raise UsageError(f"bad --m value: {ex}")
+def _flag(parse):
+    """An argparse type= converter running parse: a DomainError becomes
+    "argument --flag: <reason>", which _Parser.error raises as a
+    UsageError (exit 2)."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except DomainError as ex:
+            raise argparse.ArgumentTypeError(str(ex))
+
+    return convert
 
 
-def _parse_poly(text: str, flag: str) -> IntPolynomial:
-    try:
-        return IntPolynomial.parse(text)
-    except DomainError as ex:
-        raise UsageError(f"bad {flag} value: {ex}")
-
-
-def _parse_positive(text: str, flag: str) -> Fraction:
-    try:
-        value = parse_rational(text)
-    except DomainError as ex:
-        raise UsageError(f"bad {flag} value: {ex}")
+def _positive(text: str) -> Fraction:
+    value = parse_rational(text)
     if value <= 0:
-        raise UsageError(f"{flag} must be positive, got {text}")
+        raise DomainError(f"must be positive, got {text}")
     return value
+
+
+def _rationals(text: str) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(t) for t in text.split(","))
 
 
 def _parse_factor_list(text: str) -> dict[int, int]:
@@ -73,21 +79,11 @@ def _parse_factor_list(text: str) -> dict[int, int]:
             d_str, m_str = chunk.strip().split(":")
             d, v = int(d_str), int(m_str)
         except ValueError:
-            raise UsageError(f"bad --rhs-factors chunk {chunk!r}; expected 'd:m'")
+            raise DomainError(f"bad chunk {chunk!r}; expected 'd:m'")
         if d in out:
-            raise UsageError(f"bad --rhs-factors value: order {d} is repeated")
+            raise DomainError(f"order {d} is repeated")
         out[d] = v
     return out
-
-
-def _rhs_from_flags(args) -> RhsSpec:
-    if getattr(args, "rhs_factors", None) is not None:
-        if args.rhs_poly is not None:
-            raise UsageError("--rhs-poly and --rhs-factors are mutually exclusive")
-        return RhsSpec.onemx_product(_parse_factor_list(args.rhs_factors))
-    if args.rhs_poly is not None:
-        return RhsSpec.poly_over_1mx(_parse_poly(args.rhs_poly, "--rhs-poly"))
-    return RhsSpec.poly_over_1mx(IntPolynomial.one())
 
 
 def _emit(args, payload_json, payload_text) -> None:
@@ -98,50 +94,46 @@ def _emit(args, payload_json, payload_text) -> None:
 
 
 def _cmd_solve(args) -> int:
-    m = _parse_mspec(args.m)
-    rhs = _rhs_from_flags(args)
-    cutoff = _parse_positive(args.cutoff, "--cutoff")
-    f = solve_formal(m, rhs, cutoff)
-    if not verify_solution(f, m, rhs):
+    if args.rhs_factors is not None:
+        rhs = RhsSpec.onemx_product(args.rhs_factors)
+    else:
+        poly = IntPolynomial.one() if args.rhs_poly is None else args.rhs_poly
+        rhs = RhsSpec.poly_over_1mx(poly)
+    f = solve_formal(args.m, rhs, args.cutoff)
+    if not verify_solution(f, args.m, rhs):
         raise InternalError("solution failed residual verification")
     _emit(args, f.to_json_dict(), str(f))
     return 0
 
 
 def _cmd_decide(args) -> int:
-    m = _parse_mspec(args.m)
-    poly = _parse_poly(args.rhs_poly, "--rhs-poly") if args.rhs_poly is not None else None
-    report = decide(m, poly)
+    report = decide(args.m, args.rhs_poly)
     text = f"verdict: {report.verdict}"
     _emit(args, report.to_json_dict(), text)
     return 0
 
 
 def _cmd_count(args) -> int:
-    m = _parse_mspec(args.m)
     bounded = read_set_file(args.set)
-    report = constancy_scan(m, bounded, args.upto)
+    report = constancy_scan(args.m, bounded, args.upto)
     text = " ".join(str(v) for v in report.values)
     _emit(args, report.to_json_dict(), text)
     return 0
 
 
+# each kind's fixed (k, period); None is taken from its flag
+_KIND_FIXED = {"ruzsa": (2, 2), "moser": (None, 2), "digit": (None, None)}
+
+
 def _cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "ruzsa":
-        if args.k is not None or args.period is not None:
-            raise UsageError("--kind ruzsa takes no --k or --period")
-        ds = build_digit_set(2, 2, args.bound)
-    elif kind == "moser":
-        if args.k is None:
-            raise UsageError("--kind moser needs --k")
-        if args.period is not None:
-            raise UsageError("--kind moser takes no --period")
-        ds = build_digit_set(args.k, 2, args.bound)
-    else:
-        if args.k is None or args.period is None:
-            raise UsageError("--kind digit needs --k and --period")
-        ds = build_digit_set(args.k, args.period, args.bound)
+    values = []
+    flags = zip(("--k", "--period"), _KIND_FIXED[args.kind], (args.k, args.period))
+    for flag, fixed, given in flags:
+        if (fixed is None) == (given is None):
+            need = "needs" if fixed is None else "takes no"
+            raise UsageError(f"--kind {args.kind} {need} {flag}")
+        values.append(given if fixed is None else fixed)
+    ds = build_digit_set(*values, args.bound)
     text = format_set_file(ds)
     if args.out:
         try:
@@ -163,9 +155,7 @@ def _cmd_cyclo(args) -> int:
         product = expand_phi_power(args.d, args.a)
         _emit(args, product.to_json_dict(), _cyclo_text(product))
         return 0
-    m = _parse_mspec(args.m)
-    poly = _parse_poly(args.poly, "--poly")
-    product = nprime_cyclotomic_part(poly, m, not args.no_1mx_inverse)
+    product = nprime_cyclotomic_part(args.poly, args.m, not args.no_1mx_inverse)
     _emit(args, product.to_json_dict(), _cyclo_text(product))
     return 0
 
@@ -178,13 +168,7 @@ def _cyclo_text(product: CycloProduct) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        thetas = tuple(parse_rational(t) for t in args.thetas.split(",")) if args.thetas else ()
-    except DomainError as ex:
-        raise UsageError(f"bad --thetas value: {ex}")
-    spec = LatticeSpec(args.b, thetas)
-    below = _parse_positive(args.below, "--below")
-    values = enumerate_below(spec, below)
+    values = enumerate_below(LatticeSpec(args.b, args.thetas), args.below)
     _emit(
         args,
         [format_rational(v) for v in values],
@@ -228,22 +212,26 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, default):
         p.add_argument("--format", choices=("json", "text"), default=default)
 
+    mspec, poly, positive = _flag(MSpec.parse), _flag(IntPolynomial.parse), _flag(_positive)
+
     p = sub.add_parser("solve", help="solve the substituted product equation")
-    p.add_argument("--m", required=True, help="form spec 'b0:e0,b1:e1,...'")
-    p.add_argument("--rhs-poly", help="ascending coefficients of P(x), e.g. '1,0,2'")
-    p.add_argument("--rhs-factors", help="product right side 'd:m,...'")
-    p.add_argument("--cutoff", required=True, help="truncation cutoff (rational)")
+    p.add_argument("--m", type=mspec, required=True, help="form spec 'b0:e0,b1:e1,...'")
+    rhs = p.add_mutually_exclusive_group()
+    rhs.add_argument("--rhs-poly", type=poly, help="ascending coefficients of P(x), e.g. '1,0,2'")
+    factors = _flag(_parse_factor_list)
+    rhs.add_argument("--rhs-factors", type=factors, help="product right side 'd:m,...'")
+    p.add_argument("--cutoff", type=positive, required=True, help="truncation cutoff (rational)")
     add_format(p, "json")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("decide", help="decide eventual constancy")
-    p.add_argument("--m", required=True)
-    p.add_argument("--rhs-poly")
+    p.add_argument("--m", type=mspec, required=True)
+    p.add_argument("--rhs-poly", type=poly)
     add_format(p, "json")
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("count", help="representation counts over a set file")
-    p.add_argument("--m", required=True)
+    p.add_argument("--m", type=mspec, required=True)
     p.add_argument("--set", required=True, help="set file path")
     p.add_argument("--upto", type=int, required=True)
     add_format(p, "json")
@@ -269,16 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(q, "json")
     q.set_defaults(func=_cmd_cyclo)
     q = cyclo_sub.add_parser("part", help="smooth-order cyclotomic part of P/(1-x)")
-    q.add_argument("--poly", required=True)
-    q.add_argument("--m", required=True)
+    q.add_argument("--poly", type=poly, required=True)
+    q.add_argument("--m", type=mspec, required=True)
     q.add_argument("--no-1mx-inverse", action="store_true")
     add_format(q, "json")
     q.set_defaults(func=_cmd_cyclo)
 
     p = sub.add_parser("enumerate", help="list exponent-lattice elements")
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--thetas", default="", help="comma list of rationals > 1")
-    p.add_argument("--below", required=True)
+    thetas = _flag(_rationals)
+    p.add_argument("--thetas", type=thetas, default=(), help="comma list of rationals > 1")
+    p.add_argument("--below", type=positive, required=True)
     add_format(p, "json")
     p.set_defaults(func=_cmd_enumerate)
 

@@ -215,8 +215,7 @@ def cyclotomic_poly(n: int) -> IntPolynomial:
     if n < 1:
         raise DomainError(f"cyclotomic order must be >= 1, got {n}")
     deg = euler_phi(n)
-    factors = [(d, mobius(n // d)) for d in divisors(n)]
-    poly = IntPolynomial(onemx_coefficients(deg, factors))
+    poly = IntPolynomial(onemx_coefficients(deg, phi_as_onemx(n).exps))
     if poly.degree != deg:
         raise InternalError(f"Phi_{n} has degree {poly.degree}, not euler_phi = {deg}")
     return poly
@@ -309,21 +308,12 @@ class CycloProduct:
 
 def onemxn_factor(n: int) -> CycloProduct:
     """1 - x^n = prod_{d | n} Phi_d, as a phi-basis product."""
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
-    return CycloProduct.make("phi", {d: Fraction(1) for d in divisors(n)})
+    return CycloProduct.make("onemx", {n: 1}).to_phi()
 
 
 def phi_as_onemx(n: int) -> CycloProduct:
     """Phi_n = prod_{d | n} (1 - x^d)^{mobius(n/d)}, as an onemx product."""
-    if n < 1:
-        raise DomainError(f"order must be >= 1, got {n}")
-    out = {}
-    for d in divisors(n):
-        mu = mobius(n // d)
-        if mu:
-            out[d] = Fraction(mu)
-    return CycloProduct.make("onemx", out)
+    return CycloProduct.make("phi", {n: 1}).to_onemx()
 
 
 def expand_phi_power(d: int, a: int) -> CycloProduct:

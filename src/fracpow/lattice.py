@@ -15,11 +15,13 @@ non-negative integer combinations of them below b * bound and divide
 by b.
 """
 
+import math
 from dataclasses import dataclass
 from collections import deque
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+from .series import MAX_LIST_LEN
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,22 @@ def theta_monomials(spec: LatticeSpec, limit: Fraction) -> list[Fraction]:
 
 
 def enumerate_below(spec: LatticeSpec, bound) -> list[Fraction]:
-    """Sorted list of every lattice element in [0, bound]."""
+    """Sorted list of every lattice element in [0, bound].
+
+    Every k/b is in the lattice, so the list has at least
+    floor(b * bound) + 1 entries; more than MAX_LIST_LEN of them is a
+    CapacityError, raised before anything is enumerated.
+    """
     bound = Fraction(bound)
     if bound <= 0:
         raise DomainError(f"bound must be positive, got {bound}")
     limit = spec.b * bound
+    if math.floor(limit) >= MAX_LIST_LEN:
+        # no value of the bound in the message, as in solver.solve_formal
+        raise CapacityError(
+            f"the lattice below the bound has at least floor(b * bound) + 1 elements, more "
+            f"than {MAX_LIST_LEN}: b * bound must be below {MAX_LIST_LEN}, with b = {spec.b}"
+        )
     reach = {Fraction(0)}
     for value in theta_monomials(spec, limit):
         queue = deque(reach)

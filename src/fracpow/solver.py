@@ -52,8 +52,8 @@ from .arith import (
     ord_p,
 )
 from .cyclotomic import CycloProduct, IntPolynomial, nprime_cyclotomic_part
-from .errors import DomainError, HypothesisError, InternalError, UsageError
-from .series import FracSeries, exp_series, log1p_series, onemx_product
+from .errors import CapacityError, DomainError, HypothesisError, InternalError, UsageError
+from .series import MAX_LIST_LEN, FracSeries, exp_series, log1p_series, onemx_product
 
 EVIDENCE_CUTOFF = Fraction(4)
 EVIDENCE_LIMIT = 64
@@ -114,13 +114,22 @@ def solve_formal(m: MSpec, rhs: RhsSpec, cutoff, seed: FracSeries | None = None)
     (seed defaults to 1) and stops when two successive iterates agree
     on every kept exponent; that happens within
     ceil(log_{min theta}(cutoff * b_0)) + 1 rounds because each round
-    multiplies the disagreement order by min theta_i > 1.
+    multiplies the disagreement order by min theta_i > 1.  The right
+    side G is expanded up to x^(b_0 cutoff), so a cutoff that needs
+    more than MAX_LIST_LEN coefficients of G is a CapacityError.
     """
     if m.b < 2:
         raise HypothesisError(f"solver needs b_0 >= 2, got b_0 = {m.b}")
     T = Fraction(cutoff)
     if T <= 0:
         raise DomainError(f"cutoff must be positive, got {T}")
+    if math.floor(m.b * T) >= MAX_LIST_LEN:
+        # the message names no value of the cutoff: str() of an int
+        # beyond 4300 digits raises ValueError
+        raise CapacityError(
+            f"the right side up to x^(b_0 * cutoff) needs more than {MAX_LIST_LEN} "
+            f"coefficients: b_0 * cutoff must be below {MAX_LIST_LEN}, with b_0 = {m.b}"
+        )
     R = _log_substituted_rhs(m, rhs, T)
     thetas, nus = m.thetas, m.nus
     if seed is None:

@@ -137,16 +137,36 @@ def test_oversized_lists_are_capacity_errors(tmp_path, monkeypatch):
     for argv in (
         ["solve", "--m", "2:1", "--cutoff", "1e30"],
         ["count", "--m", "1:1", "--set", str(huge), "--upto", str(10**20)],
+        ["enumerate", "--b", "2", "--below", "1e400"],
+        # the messages print no value past the 4300-digit int-to-str limit
+        ["solve", "--m", "2:1", "--cutoff", "1e5000"],
+        ["enumerate", "--b", "2", "--below", "1e5000"],
     ):
         code, out, err = run_cli(argv)
         assert (code, out) == (1, "")
-        assert json.loads(err)["error"]["kind"] == "capacity"
+        error = json.loads(err)["error"]
+        assert error["kind"] == "capacity"
+        if argv[0] == "solve":
+            # the message speaks of the cutoff, not of the length of G
+            assert "cutoff" in error["message"]
     # tau builds one factor per order before it expands anything, so it
     # checks the cap itself; a lowered cap shows that check with short
     # lists before the real cap is tried
     monkeypatch.setattr("fracpow.cli.MAX_LIST_LEN", 50)
     assert run_cli(["tau", "--upto", "50"])[0] == 0
     code, out, err = run_cli(["tau", "--upto", "51"])
+    assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "capacity"
+    # the lattice holds every k/b, so below a bound it has at least
+    # floor(b * bound) + 1 elements; with b = 1 and no ratios exactly that
+    monkeypatch.setattr("fracpow.lattice.MAX_LIST_LEN", 50)
+    code, out, _ = run_cli(["enumerate", "--b", "1", "--below", "49"])
+    assert code == 0 and len(json.loads(out)) == 50
+    code, out, err = run_cli(["enumerate", "--b", "1", "--below", "50"])
+    assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "capacity"
+    # solve expands G up to x^(b_0 cutoff), b_0 cutoff + 1 coefficients
+    monkeypatch.setattr("fracpow.solver.MAX_LIST_LEN", 50)
+    assert run_cli(["solve", "--m", "2:1", "--cutoff", "49/2"])[0] == 0
+    code, out, err = run_cli(["solve", "--m", "2:1", "--cutoff", "25"])
     assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "capacity"
     monkeypatch.undo()
     code, out, err = run_cli(["tau", "--upto", str(10**20)])
@@ -199,6 +219,16 @@ def test_failed_self_checks_are_internal_errors(monkeypatch, target, replacement
             "--rhs-factors",
         ),
         (["solve", "--m", "2:1,3:1", "--cutoff", "2", "--rhs-factors", "2"], "--rhs-factors"),
+        (["solve", "--m", "2:x", "--cutoff", "2"], "--m"),
+        (["cyclo", "part", "--poly", "1,1,1", "--m", "3:1,2:1"], "--m"),
+        (["enumerate", "--b", "2", "--thetas", "3/x", "--below", "1"], "--thetas"),
+        (["solve", "--m", "2:1,3:1", "--cutoff", "1/0"], "--cutoff"),
+        (
+            ["solve", "--m", "2:1,4:1", "--cutoff", "2"]
+            + ["--rhs-poly", "1", "--rhs-factors", "2:-1"],
+            "--rhs-poly",
+        ),
+        (["construct", "--kind", "digit", "--k", "2", "--bound", "5"], "--period"),
     ],
 )
 def test_malformed_flag_values_name_their_flag(argv, flag):
