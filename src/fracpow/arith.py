@@ -23,6 +23,7 @@ that would need more raise CapacityError.
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -318,14 +319,40 @@ def mobius_inversion_modified(B: dict, m: MSpec) -> dict:
 
 
 def format_rational(q) -> str:
-    """Render a rational as 'num/den', omitting '/den' when den == 1."""
+    """Render a rational as 'num/den', omitting '/den' when den == 1.
+
+    A numerator or denominator past Python's limit on int-to-str
+    conversion (sys.get_int_max_str_digits(), 4300 digits by default)
+    is a CapacityError."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise CapacityError(
+            f"cannot print a numerator or denominator of more than {limit} digits"
+        )
+
+
+# Fraction("1e100000") takes about 10 ms and "1e1000000" 0.4 s (2-vCPU
+# VM, Python 3.11.7); "1e999999999" would build a billion-digit integer
+# before any size check could refuse it
+MAX_LITERAL_EXPONENT = 100_000
 
 
 def parse_rational(text: str) -> Fraction:
+    """Parse 'n', 'n/d' or a decimal such as '-1.5e-3' exactly.  A decimal
+    exponent above MAX_LITERAL_EXPONENT in magnitude is a CapacityError."""
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if "/" not in mantissa and digits.isdecimal():
+        if len(digits) > len(str(MAX_LITERAL_EXPONENT)) or int(digits) > MAX_LITERAL_EXPONENT:
+            raise CapacityError(
+                f"the decimal exponent of a rational literal must be at most "
+                f"{MAX_LITERAL_EXPONENT} in magnitude"
+            )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):

@@ -20,9 +20,14 @@ Flag values are parsed by argparse type= converters, so a malformed
 value is a usage error that reads "fracpow <cmd>: argument --flag:
 <reason>".  A well-formed value that the library refuses afterwards
 (such as --rhs-poly 1,1/2, not integral) is a domain error.
+
+The argparse tree is built on the first call of main and shared by
+every later call in the process.  Each handler passes _emit two
+zero-argument renderers, and only the one that --format names runs.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -86,11 +91,13 @@ def _parse_factor_list(text: str) -> dict[int, int]:
     return out
 
 
-def _emit(args, payload_json, payload_text) -> None:
+def _emit(args, render_json, render_text) -> None:
+    """Print the payload in the format that --format names; the two
+    renderers take no arguments, and only the chosen one runs."""
     if args.format == "json":
-        print(json.dumps(payload_json))
+        print(json.dumps(render_json()))
     else:
-        print(payload_text)
+        print(render_text())
 
 
 def _cmd_solve(args) -> int:
@@ -102,22 +109,20 @@ def _cmd_solve(args) -> int:
     f = solve_formal(args.m, rhs, args.cutoff)
     if not verify_solution(f, args.m, rhs):
         raise InternalError("solution failed residual verification")
-    _emit(args, f.to_json_dict(), str(f))
+    _emit(args, f.to_json_dict, f.__str__)
     return 0
 
 
 def _cmd_decide(args) -> int:
     report = decide(args.m, args.rhs_poly)
-    text = f"verdict: {report.verdict}"
-    _emit(args, report.to_json_dict(), text)
+    _emit(args, report.to_json_dict, lambda: f"verdict: {report.verdict}")
     return 0
 
 
 def _cmd_count(args) -> int:
     bounded = read_set_file(args.set)
     report = constancy_scan(args.m, bounded, args.upto)
-    text = " ".join(str(v) for v in report.values)
-    _emit(args, report.to_json_dict(), text)
+    _emit(args, report.to_json_dict, lambda: " ".join(map(str, report.values)))
     return 0
 
 
@@ -149,14 +154,13 @@ def _cmd_construct(args) -> int:
 def _cmd_cyclo(args) -> int:
     if args.cyclo_op == "phi":
         poly = cyclotomic_poly(args.n)
-        _emit(args, {"n": args.n, "coefficients": poly.to_json_list()}, str(poly))
+        _emit(args, lambda: {"n": args.n, "coefficients": poly.to_json_list()}, poly.__str__)
         return 0
     if args.cyclo_op == "expand":
         product = expand_phi_power(args.d, args.a)
-        _emit(args, product.to_json_dict(), _cyclo_text(product))
-        return 0
-    product = nprime_cyclotomic_part(args.poly, args.m, not args.no_1mx_inverse)
-    _emit(args, product.to_json_dict(), _cyclo_text(product))
+    else:
+        product = nprime_cyclotomic_part(args.poly, args.m, not args.no_1mx_inverse)
+    _emit(args, product.to_json_dict, lambda: _cyclo_text(product))
     return 0
 
 
@@ -171,8 +175,8 @@ def _cmd_enumerate(args) -> int:
     values = enumerate_below(LatticeSpec(args.b, args.thetas), args.below)
     _emit(
         args,
-        [format_rational(v) for v in values],
-        " ".join(format_rational(v) for v in values),
+        lambda: [format_rational(v) for v in values],
+        lambda: " ".join(map(format_rational, values)),
     )
     return 0
 
@@ -185,11 +189,10 @@ def _cmd_tau(args) -> int:
         raise CapacityError(f"tau up to {n} needs more than {MAX_LIST_LEN} entries")
     # tau(k) is the coefficient of q^{k-1} in prod (1 - q^j)^24
     coeffs = onemx_coefficients(n - 1, [(j, 24) for j in range(1, n)])
-    values = list(enumerate(coeffs, 1))
     _emit(
         args,
-        [[k, v] for k, v in values],
-        "\n".join(f"{k}\t{v}" for k, v in values),
+        lambda: [[k, v] for k, v in enumerate(coeffs, 1)],
+        lambda: "\n".join(f"{k}\t{v}" for k, v in enumerate(coeffs, 1)),
     )
     return 0
 
@@ -202,7 +205,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every
+    later one; parse_args keeps no state between calls."""
     parser = _Parser(
         prog="fracpow",
         description="Exact fractional power series and representation-function tools",

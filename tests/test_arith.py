@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -227,3 +228,25 @@ def test_rational_strings():
     assert parse_rational("-7") == -7
     with pytest.raises(DomainError):
         parse_rational("x")
+
+
+def test_decimal_exponents_are_capped():
+    # Fraction would build the whole integer of 10^exponent first
+    assert parse_rational("1e100000") == 10**100000
+    assert parse_rational("1E+0100000") == 10**100000
+    assert parse_rational("25e-100000") == F(25, 10**100000)
+    assert parse_rational("1.5e-3") == F(3, 2000)
+    for text in ("1e100001", "-2.5e-100001", "1e" + "9" * 5000):
+        with pytest.raises(CapacityError, match="100000"):
+            parse_rational(text)
+    # a malformed literal stays a domain error, whatever its exponent
+    with pytest.raises(DomainError):
+        parse_rational("1/2e999999999")
+
+
+def test_unprintable_rationals_are_capacity_errors():
+    digits = sys.get_int_max_str_digits()  # 4300 unless configured
+    assert format_rational(F(1, 10 ** (digits - 1))) == "1/1" + "0" * (digits - 1)
+    for q in (10**digits, F(1, 10**digits), F(10**digits + 1, 3)):
+        with pytest.raises(CapacityError, match=f"{digits} digits"):
+            format_rational(q)

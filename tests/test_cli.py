@@ -1,14 +1,19 @@
+import dataclasses
 import io
 import json
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
-from fracpow.cli import main
+from fracpow.cli import format_rational, main
+from fracpow.counting import CountReport, constancy_scan
 from fracpow.cyclotomic import CycloProduct, cyclotomic_poly
+from fracpow.series import FracSeries
 from helpers import tau_oracle
 
 
@@ -171,6 +176,148 @@ def test_oversized_lists_are_capacity_errors(tmp_path, monkeypatch):
     monkeypatch.undo()
     code, out, err = run_cli(["tau", "--upto", str(10**20)])
     assert (code, out) == (1, "") and json.loads(err)["error"]["kind"] == "capacity"
+
+
+
+def test_unprintable_results_are_capacity_errors():
+    # the JSON cutoff field of a solve at 1e-5000 is 1/10^5000, past the
+    # 4300-digit int-to-str limit; nothing reaches stdout before the error
+    solve = ["solve", "--m", "2:1,3:1", "--cutoff", "1e-5000"]
+    code, out, err = run_cli(solve)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["kind"] == "capacity"
+    # the text form prints the series, which has no cutoff field
+    assert run_cli(solve + ["--format", "text"]) == (0, "1\n", "")
+    # a coefficient of 10^5000 / 2 is unprintable in either format
+    for fmt in ("json", "text"):
+        argv = ["solve", "--m", "2:1,3:1", "--rhs-poly", "1,1e5000", "--cutoff", "1"]
+        code, out, err = run_cli(argv + ["--format", fmt])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["kind"] == "capacity"
+
+
+def test_huge_exponent_literals_are_refused_at_once():
+    # first in a child process with a timeout: without the exponent cap,
+    # Fraction would spend minutes building a billion-digit integer
+    argv = ["solve", "--m", "2:1,3:1", "--cutoff", "1e999999999"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracpow.cli", *argv], capture_output=True, text=True, timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr)["error"]["kind"] == "capacity"
+    for fmt in ("json", "text"):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv + ["--format", fmt])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["kind"] == "capacity"
+
+
+def _reuse_argvs(set_path):
+    solve = ["solve", "--m", "2:1,4:1", "--cutoff", "6"]
+    both = ["--rhs-poly", "1", "--rhs-factors", "2:-1"]
+    count = ["count", "--m", "1:1,2:1", "--set", set_path, "--upto", "40"]
+    part = ["cyclo", "part", "--poly", "1,1,1", "--m", "2:1,3:1"]
+    lattice = ["enumerate", "--b", "2", "--thetas", "3/2", "--below", "2"]
+    return [
+        solve + ["--rhs-factors", "2:-1"],
+        solve,  # no right side right after --rhs-factors
+        solve + both,  # the two right sides exclude each other
+        solve + ["--rhs-poly", "1,1", "--format", "text"],
+        ["solve", "--m", "2:1,3:1", "--cutoff", "1/0"],  # malformed flag value
+        ["solve", "--m", "2:1,3:1", "--cutoff", "3", "--bogus"],
+        ["decide", "--m", "2:1,3:1", "--rhs-poly", "1,1,1"],
+        ["decide", "--m", "2:1,3:1", "--format", "text"],
+        count,
+        count + ["--format", "text"],
+        ["construct", "--kind", "moser", "--k", "3", "--bound", "12"],
+        ["cyclo", "phi", "12"],
+        ["cyclo", "phi", "12", "--format", "json"],
+        ["cyclo", "expand", "2", "6", "--format", "text"],
+        ["cyclo", "expand", "2", "6"],
+        part + ["--no-1mx-inverse"],
+        part + ["--format", "text"],
+        lattice,
+        lattice + ["--format", "text"],
+        ["tau", "--upto", "12", "--format", "json"],
+        ["tau", "--upto", "12"],
+        [],
+    ]
+
+
+def _fresh_process(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracpow.cli", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path):
+    # one parser serves every call in a process; no call may leave state
+    # behind that changes a later one, in either order
+    path = tmp_path / "ruzsa.txt"
+    assert run_cli(["construct", "--kind", "ruzsa", "--bound", "40", "--out", str(path)])[0] == 0
+    argvs = _reuse_argvs(str(path))
+    forward = [run_cli(argv) for argv in argvs]
+    backward = [run_cli(argv) for argv in reversed(argvs)][::-1]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = list(pool.map(_fresh_process, argvs))
+    for argv, first, second, alone in zip(argvs, forward, backward, fresh):
+        assert first == second == alone, argv
+    assert {code for code, _, _ in forward} == {0, 2}
+
+
+def _refuse(*args):
+    raise AssertionError("rendered a format that was not asked for")
+
+
+class _NoText(int):
+    """An int that JSON prints (json uses int.__repr__) but str refuses."""
+
+    def __str__(self):
+        _refuse()
+
+
+def test_only_the_requested_format_is_rendered(tmp_path, monkeypatch):
+    solve = ["solve", "--m", "2:1,3:1", "--cutoff", "4"]
+    with monkeypatch.context() as patch:
+        patch.setattr(FracSeries, "__str__", _refuse)
+        assert run_cli(solve)[0] == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(FracSeries, "to_json_dict", _refuse)
+        assert run_cli(solve + ["--format", "text"])[0] == 0
+
+    path = tmp_path / "ruzsa.txt"
+    run_cli(["construct", "--kind", "ruzsa", "--bound", "100", "--out", str(path)])
+    count = ["count", "--m", "1:1,2:1", "--set", str(path), "--upto", "100"]
+    with monkeypatch.context() as patch:
+        patch.setattr(CountReport, "to_json_dict", _refuse)
+        assert run_cli(count + ["--format", "text"]) == (0, " ".join(["1"] * 101) + "\n", "")
+    with monkeypatch.context() as patch:
+
+        def scan_without_text(*args):
+            report = constancy_scan(*args)
+            return dataclasses.replace(report, values=tuple(map(_NoText, report.values)))
+
+        patch.setattr("fracpow.cli.constancy_scan", scan_without_text)
+        code, out, _ = run_cli(count)
+        assert code == 0 and json.loads(out)["values"] == [1] * 101
+
+    # both formats of enumerate print each element once through
+    # format_rational; an eager second payload would double the calls
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return format_rational(q)
+
+    monkeypatch.setattr("fracpow.cli.format_rational", counted)
+    for fmt in ("json", "text"):
+        calls.clear()
+        code, out, _ = run_cli(
+            ["enumerate", "--b", "2", "--thetas", "3/2", "--below", "3", "--format", fmt]
+        )
+        assert code == 0 and len(calls) == 26
 
 
 SOLVE_ARGV = ["solve", "--m", "2:1,3:1", "--cutoff", "2"]
